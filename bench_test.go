@@ -13,6 +13,7 @@ import (
 	"uhm/internal/core"
 	"uhm/internal/dir"
 	"uhm/internal/dtb"
+	"uhm/internal/faultinject"
 	"uhm/internal/perfmodel"
 	"uhm/internal/psder"
 	"uhm/internal/service"
@@ -533,6 +534,16 @@ func BenchmarkCompileProgram(b *testing.B) {
 
 // --- Service-layer benchmarks (registry + replayer pool) ------------------
 
+// workloadRequests names each built-in workload as a stack-level service
+// request under cfg.
+func workloadRequests(names []string, cfg core.Config) []*service.Request {
+	reqs := make([]*service.Request, len(names))
+	for i, name := range names {
+		reqs[i] = &service.Request{Name: name, Workload: name, Level: core.LevelStack, Config: cfg}
+	}
+	return reqs
+}
+
 // BenchmarkServeConcurrent measures steady-state request handling through
 // the service layer at GOMAXPROCS parallelism: mixed workloads × strategies,
 // every artifact already resident in the content-addressed registry and
@@ -543,13 +554,13 @@ func BenchmarkServeConcurrent(b *testing.B) {
 	cfg := benchConfig()
 	svc := service.New(service.Options{})
 	ctx := context.Background()
-	workloads := []string{"loopsum", "fib", "sieve"}
+	workloads := workloadRequests([]string{"loopsum", "fib", "sieve"}, cfg)
 	strategies := sim.Strategies()
 	// Warm every (workload, strategy) cell: builds, predecodes, compiles and
 	// pools outside the timer.
 	for _, w := range workloads {
 		for _, s := range strategies {
-			if _, err := svc.RunWorkload(ctx, w, core.LevelStack, s, cfg); err != nil {
+			if _, err := svc.Run(ctx, w, s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -563,7 +574,7 @@ func BenchmarkServeConcurrent(b *testing.B) {
 			w := workloads[i%len(workloads)]
 			s := strategies[i/len(workloads)%len(strategies)]
 			i++
-			if _, err := svc.RunWorkload(ctx, w, core.LevelStack, s, cfg); err != nil {
+			if _, err := svc.Run(ctx, w, s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -585,11 +596,11 @@ func BenchmarkServeBatch(b *testing.B) {
 	cfg := benchConfig()
 	svc := service.New(service.Options{})
 	ctx := context.Background()
-	workloads := []string{"loopsum", "fib", "sieve"}
+	workloads := workloadRequests([]string{"loopsum", "fib", "sieve"}, cfg)
 	strategies := sim.Strategies()
 	for _, w := range workloads {
 		for _, s := range strategies {
-			if _, err := svc.RunWorkload(ctx, w, core.LevelStack, s, cfg); err != nil {
+			if _, err := svc.Run(ctx, w, s); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -611,11 +622,11 @@ func BenchmarkServeBatch(b *testing.B) {
 				return
 			}
 			base := i
-			err := svc.Batch(ctx, func(ctx context.Context, br *service.BatchRunner) error {
+			err := svc.Admit(ctx, func(ctx context.Context, run *service.Runner) error {
 				for k := 0; k < n; k++ {
 					w := workloads[(base+k)%len(workloads)]
 					s := strategies[(base+k)/len(workloads)%len(strategies)]
-					if _, err := br.RunWorkload(ctx, w, core.LevelStack, s, cfg); err != nil {
+					if _, err := run.Run(ctx, w, s); err != nil {
 						return err
 					}
 				}
@@ -632,6 +643,41 @@ func BenchmarkServeBatch(b *testing.B) {
 	if after.Registry.Builds != before.Registry.Builds {
 		b.Fatalf("steady state rebuilt artifacts: %d -> %d builds",
 			before.Registry.Builds, after.Registry.Builds)
+	}
+}
+
+// BenchmarkServeDeclineStorm measures the derive-decline path: a
+// trace-record fault at p=1 fails warm sieve's one recording, so every
+// request's derivation declines and falls back to a full replay.  Against
+// BenchmarkServeConcurrent's derived requests, it prices what a decline
+// costs on top of the replay it forces.
+func BenchmarkServeDeclineStorm(b *testing.B) {
+	defer faultinject.Activate(faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteTraceRecord, Probability: 1,
+	}))()
+	svc := service.New(service.Options{Workers: 1})
+	ctx := context.Background()
+	sieve := workloadRequests([]string{"sieve"}, benchConfig())[0]
+	for i := 0; i < 3; i++ {
+		if _, err := svc.Run(ctx, sieve, sim.WithDTB); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := svc.Stats().Requests.DeriveFallbacks
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := svc.Run(ctx, sieve, sim.WithDTB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Derived {
+			b.Fatal("derived a report while trace recording always fails")
+		}
+	}
+	b.StopTimer()
+	if got := svc.Stats().Requests.DeriveFallbacks - before; got != int64(b.N) {
+		b.Fatalf("counted %d derive fallbacks over %d declining requests", got, b.N)
 	}
 }
 
@@ -709,19 +755,18 @@ func BenchmarkModelValidation(b *testing.B) {
 
 // benchWorkingSet is the working set the start-up benchmarks bring online:
 // three workloads, each run once under DTB at the stack level.
-var benchWorkingSet = []string{"loopsum", "fib", "sieve"}
+var benchWorkingSet = workloadRequests([]string{"loopsum", "fib", "sieve"}, benchConfig())
 
 // BenchmarkColdStart measures bringing the working set online in a fresh
 // process with nothing persisted: every request pays the full compile
 // pipeline (parse, translate, encode, predecode).
 func BenchmarkColdStart(b *testing.B) {
-	cfg := benchConfig()
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		svc := service.New(service.Options{})
 		for _, w := range benchWorkingSet {
-			if _, err := svc.RunWorkload(ctx, w, core.LevelStack, sim.WithDTB, cfg); err != nil {
+			if _, err := svc.Run(ctx, w, sim.WithDTB); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -733,7 +778,6 @@ func BenchmarkColdStart(b *testing.B) {
 // so no request touches the compile pipeline.  The delta against
 // BenchmarkColdStart is the value of persistence.
 func BenchmarkWarmStart(b *testing.B) {
-	cfg := benchConfig()
 	ctx := context.Background()
 	dir := b.TempDir()
 
@@ -747,7 +791,7 @@ func BenchmarkWarmStart(b *testing.B) {
 	seed := service.New(service.Options{Store: tier})
 	for _, w := range benchWorkingSet {
 		for j := 0; j < 2; j++ {
-			if _, err := seed.RunWorkload(ctx, w, core.LevelStack, sim.WithDTB, cfg); err != nil {
+			if _, err := seed.Run(ctx, w, sim.WithDTB); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -766,7 +810,7 @@ func BenchmarkWarmStart(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, w := range benchWorkingSet {
-			if _, err := svc.RunWorkload(ctx, w, core.LevelStack, sim.WithDTB, cfg); err != nil {
+			if _, err := svc.Run(ctx, w, sim.WithDTB); err != nil {
 				b.Fatal(err)
 			}
 		}

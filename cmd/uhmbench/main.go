@@ -143,12 +143,11 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "uhmbench: -gen-archetype:", err)
 		return 1
 	}
-	opts := expOptions{
-		workload:   *workloadName,
-		archetypes: archetypes,
-		programs:   *programs,
-		seed:       *genSeed,
-		jsonPath:   *jsonPath,
+	opts := core.ExperimentOptions{
+		Workload:   *workloadName,
+		Archetypes: archetypes,
+		Programs:   *programs,
+		Seed:       *genSeed,
 	}
 	switch {
 	case *chaosCount > 0:
@@ -156,7 +155,7 @@ func realMain() int {
 	case *genCount > 0:
 		err = runConformance(ctx, archetypes, *genSeed, *genCount, *workers, !*noMinimize, cfg)
 	default:
-		err = run(ctx, engine, *exp, opts, cfg)
+		err = run(ctx, engine, *exp, opts, *jsonPath, cfg)
 	}
 
 	// Report a memprofile failure without eclipsing the run's own error —
@@ -183,28 +182,6 @@ func writeMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC() // flush recent frees so the profile reflects live heap
 	return pprof.WriteHeapProfile(f)
-}
-
-// knownExperiments lists every experiment name, in the order "all" runs them.
-var knownExperiments = []string{
-	"table1", "table2", "table3",
-	"figure1", "figure2", "figure3", "figure4",
-	"empirical", "compaction",
-	"archsweep", "modelerr",
-}
-
-// expOptions carries the per-experiment flag surface into runOne.
-type expOptions struct {
-	// workload selects the figure experiments' workload.
-	workload string
-	// archetypes restricts archsweep/modelerr (nil = full catalogue).
-	archetypes []string
-	// programs is the population size per archetype (0 = default).
-	programs int
-	// seed is the first program seed of each archetype population.
-	seed int64
-	// jsonPath, when set, receives modelerr's machine-readable artifact.
-	jsonPath string
 }
 
 // parseArchetypes expands the -gen-archetype flag: empty keeps the default
@@ -238,8 +215,9 @@ func parseArchetypes(s string) ([]string, error) {
 // parseExperiments expands and validates the -exp flag: a comma-separated
 // experiment list, or "all".
 func parseExperiments(exp string) ([]string, error) {
+	known := core.Experiments()
 	if strings.TrimSpace(exp) == "all" {
-		return knownExperiments, nil
+		return known, nil
 	}
 	var out []string
 	for _, e := range strings.Split(exp, ",") {
@@ -247,8 +225,8 @@ func parseExperiments(exp string) ([]string, error) {
 		if e == "" {
 			continue
 		}
-		if !slices.Contains(knownExperiments, e) {
-			return nil, fmt.Errorf("unknown experiment %q (have %s, all)", e, strings.Join(knownExperiments, ", "))
+		if !slices.Contains(known, e) {
+			return nil, fmt.Errorf("unknown experiment %q (have %s, all)", e, strings.Join(known, ", "))
 		}
 		out = append(out, e)
 	}
@@ -258,13 +236,13 @@ func parseExperiments(exp string) ([]string, error) {
 	return out, nil
 }
 
-func run(ctx context.Context, engine core.Engine, exp string, opts expOptions, cfg core.Config) error {
+func run(ctx context.Context, engine core.Engine, exp string, opts core.ExperimentOptions, jsonPath string, cfg core.Config) error {
 	experiments, err := parseExperiments(exp)
 	if err != nil {
 		return err
 	}
 	for _, e := range experiments {
-		if err := runOne(ctx, engine, e, opts, cfg); err != nil {
+		if err := runOne(ctx, engine, e, opts, jsonPath, cfg); err != nil {
 			return fmt.Errorf("%s: %w", e, err)
 		}
 		fmt.Println()
@@ -392,95 +370,27 @@ func runConformanceOne(ctx context.Context, archetype string, seed int64, n, wor
 	return fmt.Errorf("conformance: %d of %d generated programs diverged", len(res.Failing), res.Seeds)
 }
 
-func runOne(ctx context.Context, engine core.Engine, exp string, opts expOptions, cfg core.Config) error {
-	workloadName := opts.workload
-	switch exp {
-	case "table1":
-		fmt.Print(core.Table1Report())
-	case "table2":
-		t, err := engine.Table2(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t.Render())
-	case "table3":
-		t, err := engine.Table3(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Print(t.Render())
-	case "figure1":
-		var workloads []string
-		if workloadName != "" {
-			workloads = []string{workloadName}
-		}
-		rows, err := engine.Figure1(ctx, workloads, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderFigure1(rows))
-	case "figure2":
-		org, rows, err := engine.Figure2(ctx, workloadName, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderFigure2(org, rows))
-	case "figure3":
-		act, err := engine.Figure3(ctx, workloadName, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderFigure3(act))
-	case "figure4":
-		stats, err := engine.Figure4(ctx, workloadName, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderFigure4(stats))
-	case "empirical":
-		var workloads []string
-		if workloadName != "" {
-			workloads = []string{workloadName}
-		}
-		rows, err := engine.Empirical(ctx, workloads, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderEmpirical(rows))
-	case "compaction":
-		var workloads []string
-		if workloadName != "" {
-			workloads = []string{workloadName}
-		}
-		rows, err := engine.Compaction(ctx, workloads, core.LevelStack)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderCompaction(rows))
-	case "archsweep":
-		rows, err := engine.ArchetypeSweep(ctx, opts.archetypes, opts.programs, opts.seed, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderArchetypeSweep(rows))
-	case "modelerr":
-		v, err := engine.ModelValidation(ctx, opts.archetypes, opts.programs, opts.seed, cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.RenderModelValidation(v))
-		if opts.jsonPath != "" {
-			doc, err := core.ModelValidationJSON(v, "uhmbench")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(opts.jsonPath, doc, 0o644); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d bytes)\n", opts.jsonPath, len(doc))
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+// runOne prints one experiment.  modelerr with -json also writes the
+// machine-readable error distribution, which needs the structured result
+// rather than its rendering.
+func runOne(ctx context.Context, engine core.Engine, exp string, opts core.ExperimentOptions, jsonPath string, cfg core.Config) error {
+	if exp != "modelerr" || jsonPath == "" {
+		text, err := engine.Experiment(ctx, exp, opts, cfg)
+		fmt.Print(text)
+		return err
 	}
+	v, err := engine.ModelValidation(ctx, opts.Archetypes, opts.Programs, opts.Seed, cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Print(core.RenderModelValidation(v))
+	doc, err := core.ModelValidationJSON(v, "uhmbench")
+	if err != nil {
+		return err
+	}
+	if err := os.WriteFile(jsonPath, doc, 0o644); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s (%d bytes)\n", jsonPath, len(doc))
 	return nil
 }

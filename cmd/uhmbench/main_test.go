@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"uhm/internal/core"
 	"uhm/internal/workload"
 )
 
@@ -13,8 +14,8 @@ func TestParseExperiments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parseExperiments(all): %v", err)
 	}
-	if !slices.Equal(all, knownExperiments) {
-		t.Errorf("parseExperiments(all) = %v, want %v", all, knownExperiments)
+	if !slices.Equal(all, core.Experiments()) {
+		t.Errorf("parseExperiments(all) = %v, want %v", all, core.Experiments())
 	}
 
 	got, err := parseExperiments("table2, figure1 ,empirical")
@@ -34,7 +35,7 @@ func TestParseExperiments(t *testing.T) {
 
 func TestKnownExperimentsDistinctAndParsable(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range knownExperiments {
+	for _, e := range core.Experiments() {
 		if seen[e] {
 			t.Errorf("experiment %q listed twice", e)
 		}

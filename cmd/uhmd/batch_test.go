@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"uhm/internal/service"
+	"uhm/internal/wire"
 )
 
 // TestBatchRunEndpoint: many runs, one envelope — per-item reports in
@@ -27,7 +28,7 @@ func TestBatchRunEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	var resp batchRunResponse
+	var resp wire.BatchRunResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestBatchRunPartialFailure(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("envelope status %d, want 200: %s", status, data)
 	}
-	var resp batchRunResponse
+	var resp wire.BatchRunResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestBatchCompareEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	var resp batchCompareResponse
+	var resp wire.BatchCompareResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,8 @@ func TestBatchCompareEndpoint(t *testing.T) {
 	}
 	if bad := resp.Items[1]; bad.Status != http.StatusBadRequest ||
 		!strings.Contains(bad.Error, "strategy") {
-		t.Fatalf("strategy-carrying compare item = %+v, want per-item 400", bad)	}
+		t.Fatalf("strategy-carrying compare item = %+v, want per-item 400", bad)
+	}
 }
 
 // TestBatchEnvelopeValidation: empty and oversized envelopes are
@@ -156,9 +158,9 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 // handler path, not a recorder's buffer growth.
 type nullResponseWriter struct{ h http.Header }
 
-func (w nullResponseWriter) Header() http.Header        { return w.h }
+func (w nullResponseWriter) Header() http.Header         { return w.h }
 func (w nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
-func (w nullResponseWriter) WriteHeader(int)            {}
+func (w nullResponseWriter) WriteHeader(int)             {}
 
 // TestWarmRunHandlerAllocs pins the per-request allocation overhead of the
 // warm single-run handler path (decode, validate, pooled service run, pooled
@@ -229,13 +231,13 @@ func TestBatchAmortisesAllocs(t *testing.T) {
 	}
 }
 
-// TestWriteJSONPoolRecycle: writeJSON answers identical bytes when the
+// TestWriteJSONPoolRecycle: wire.WriteJSON answers identical bytes when the
 // buffer comes from the pool warm, and sets an exact Content-Length.
 func TestWriteJSONPoolRecycle(t *testing.T) {
 	var first, second *httptest.ResponseRecorder
 	for i, rec := range []**httptest.ResponseRecorder{&first, &second} {
 		*rec = httptest.NewRecorder()
-		writeJSON(*rec, http.StatusOK, map[string]any{"seq": "same", "i": 1})
+		wire.WriteJSON(*rec, http.StatusOK, map[string]any{"seq": "same", "i": 1})
 		_ = i
 	}
 	if first.Body.String() != second.Body.String() {

@@ -10,6 +10,7 @@ import (
 
 	"uhm/internal/router"
 	"uhm/internal/service"
+	"uhm/internal/wire"
 )
 
 // newTestFleet assembles a real in-process fleet: n service-backed uhmd
@@ -92,7 +93,7 @@ func TestFleetBatchThroughRouter(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("batch status %d: %s", status, data)
 	}
-	var resp batchRunResponse
+	var resp wire.BatchRunResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}

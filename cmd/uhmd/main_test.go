@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"uhm/internal/service"
+	"uhm/internal/wire"
 	"uhm/internal/workload"
 )
 
@@ -70,7 +71,7 @@ func TestRunCacheHitVsMiss(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("cold run: status %d: %s", status, data)
 	}
-	var first runResponse
+	var first wire.RunResponse
 	if err := json.Unmarshal(data, &first); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestRunCacheHitVsMiss(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("warm run: status %d: %s", status, data)
 	}
-	var second runResponse
+	var second wire.RunResponse
 	if err := json.Unmarshal(data, &second); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRunSubmittedSourceContentAddressed(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	var byName runResponse
+	var byName wire.RunResponse
 	if err := json.Unmarshal(data, &byName); err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestRunSubmittedSourceContentAddressed(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	var bySource runResponse
+	var bySource wire.RunResponse
 	if err := json.Unmarshal(data, &bySource); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestCompareEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	var resp compareResponse
+	var resp wire.CompareResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestConformanceEndpointPinnedSeeds(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("seed %d: status %d: %s", seed, status, data)
 		}
-		var resp conformanceResponse
+		var resp wire.ConformanceResponse
 		if err := json.Unmarshal(data, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +249,7 @@ func TestExperimentEndpoint(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	var resp experimentResponse
+	var resp wire.ExperimentResponse
 	if err := json.Unmarshal(data, &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +318,7 @@ func TestRunUnprocessableIsErrorJSON(t *testing.T) {
 	if status != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d: %s", status, data)
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	if err := json.Unmarshal(data, &e); err != nil || e.Error == "" {
 		t.Fatalf("want an error payload, got %s", data)
 	}
@@ -368,7 +369,7 @@ func TestGracefulShutdownMidRequest(t *testing.T) {
 	if res.status != http.StatusOK {
 		t.Fatalf("in-flight request answered %d: %s", res.status, res.body)
 	}
-	var resp conformanceResponse
+	var resp wire.ConformanceResponse
 	if err := json.Unmarshal(res.body, &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"uhm/internal/service"
 	"uhm/internal/store"
+	"uhm/internal/wire"
 )
 
 // TestFlagParsing pins the flag surface, including the PR's -store-dir and
@@ -90,7 +91,7 @@ func TestServerWarmRestart(t *testing.T) {
 		`{"workload":"fib","strategy":"dtb"}`,
 		`{"workload":"sieve","strategy":"cache"}`,
 	}
-	var want []runResponse
+	var want []wire.RunResponse
 	for _, body := range bodies {
 		// Twice each: the second request syncs the recorded trace into the
 		// container, so the restarted server derives without re-executing.
@@ -99,7 +100,7 @@ func TestServerWarmRestart(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("first server: status %d: %s", status, data)
 			}
-			var resp runResponse
+			var resp wire.RunResponse
 			if err := json.Unmarshal(data, &resp); err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +124,7 @@ func TestServerWarmRestart(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("restarted server: status %d: %s", status, data)
 		}
-		var resp runResponse
+		var resp wire.RunResponse
 		if err := json.Unmarshal(data, &resp); err != nil {
 			t.Fatal(err)
 		}

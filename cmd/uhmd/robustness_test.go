@@ -12,6 +12,7 @@ import (
 
 	"uhm/internal/faultinject"
 	"uhm/internal/service"
+	"uhm/internal/wire"
 )
 
 // newTestServerFromHandler serves an already-configured handler (tests that
@@ -50,7 +51,7 @@ func TestRequestIDEchoed(t *testing.T) {
 	if got := resp.Header.Get("X-Request-ID"); got != "trace-me-42" {
 		t.Fatalf("X-Request-ID header = %q, want the echoed client ID", got)
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRequestIDGenerated(t *testing.T) {
 	if id == "" {
 		t.Fatal("no X-Request-ID generated")
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestOverloadReturns503WithRetryAfter(t *testing.T) {
 	if waited > time.Second {
 		t.Fatalf("shed took %s, want roughly the 200ms queue timeout", waited)
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestRunPanicIsolatedAndQuarantined(t *testing.T) {
 	if status != http.StatusInternalServerError {
 		t.Fatalf("panicking run answered %d, want 500: %s", status, data)
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	if err := json.Unmarshal(data, &e); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestRequestTimeoutCancelsWork(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("timed-out request answered %d, want 503: %s", status, data)
 	}
-	var e errorResponse
+	var e wire.ErrorResponse
 	if err := json.Unmarshal(data, &e); err != nil || e.RequestID == "" {
 		t.Fatalf("timed-out request body lacks a request_id: %s", data)
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	cryptorand "crypto/rand"
 	"encoding/hex"
@@ -11,12 +10,12 @@ import (
 	"log"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"uhm/internal/core"
 	"uhm/internal/faultinject"
 	"uhm/internal/service"
+	"uhm/internal/wire"
 	"uhm/internal/workload/gen"
 )
 
@@ -31,12 +30,13 @@ const (
 	maxBatchItems        = 256
 )
 
-// server wires the HTTP API to one shared service.Service.  Every handler
-// propagates the request context into the service and the engine: client
-// disconnects and server shutdown cancel slot admission, engine grid
-// dispatch, and the between-strategy checks of a comparison.  An individual
-// replay is not interruptible mid-run — it is bounded instead, by the
-// server-side max_instructions cap enforced in validateRun.
+// server wires the HTTP API (the internal/wire contract) to one shared
+// service.Service.  Every handler propagates the request context into the
+// service and the engine: client disconnects and server shutdown cancel slot
+// admission, engine grid dispatch, and the between-strategy checks of a
+// comparison.  An individual replay is not interruptible mid-run — it is
+// bounded instead, by the server-side max_instructions cap enforced in
+// validate.
 //
 // ServeHTTP wraps every handler in the robustness envelope: a request ID
 // (accepted from X-Request-ID or generated) that tags the access log line and
@@ -150,53 +150,14 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(sw, r)
 }
 
-// jsonBuf pairs a response buffer with a json.Encoder bound to it, so the
-// warm path reuses both instead of allocating an encoder (and growing a fresh
-// buffer) per response.  Encoding into the buffer first also yields an exact
-// Content-Length, sparing the chunked-transfer framing on every response.
-type jsonBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonBufPool = sync.Pool{New: func() any {
-	jb := &jsonBuf{}
-	jb.enc = json.NewEncoder(&jb.buf)
-	jb.enc.SetIndent("", "  ")
-	return jb
-}}
-
-// jsonBufMaxRecycle caps the buffer capacity worth keeping: a huge batch
-// response should not pin its peak allocation in the pool forever.
-const jsonBufMaxRecycle = 1 << 20
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	jb := jsonBufPool.Get().(*jsonBuf)
-	jb.buf.Reset()
-	if err := jb.enc.Encode(v); err != nil {
-		// The wire types are plain data; encoding them cannot fail.  Answer
-		// something structured anyway rather than an empty body.
-		jsonBufPool.Put(jb)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, `{"error":%q}`, "response encoding failed: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(jb.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(jb.buf.Bytes())
-	if jb.buf.Cap() <= jsonBufMaxRecycle {
-		jsonBufPool.Put(jb)
-	}
-}
-
+// writeError answers err as a JSON error tagged with the request's ID, with
+// a Retry-After header when the service shed it for overload.
 func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	var overload *service.OverloadError
 	if errors.As(err, &overload) {
 		w.Header().Set("Retry-After", strconv.Itoa(int(overload.RetryAfter/time.Second)))
 	}
-	writeJSON(w, status, errorResponse{Error: err.Error(), RequestID: requestIDFrom(r.Context())})
+	wire.WriteError(w, status, err, requestIDFrom(r.Context()))
 }
 
 // decodeBody parses the JSON request body strictly: unknown fields are
@@ -219,279 +180,227 @@ func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64)
 }
 
 func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	wire.WriteJSON(w, http.StatusOK, struct {
 		Workers int           `json:"workers"`
 		Stats   service.Stats `json:"stats"`
 	}{Workers: s.svc.Workers(), Stats: s.svc.Stats()})
 }
 
 func (s *server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string][]string{"workloads": core.Workloads()})
+	wire.WriteJSON(w, http.StatusOK, map[string][]string{"workloads": core.Workloads()})
 }
 
-// program is a validated runRequest: which program, at which point of the
-// simulation space.  Validation failures are the client's request shape
-// (400); resolving the program itself — build, parse — happens later, under
-// a service request slot, and fails as 422.
-type program struct {
-	name     string
-	level    core.Level
-	cfg      core.Config
-	workload string // built-in, when non-empty
-	source   string // submitted text, otherwise
+// item is one run or compare of a call: the service request its wire form
+// validated to and, once served, its outcome.  status stays 0 until the item
+// is answered; validation failures are answered before any slot is taken.
+type item struct {
+	req      service.Request
+	strategy core.Strategy
+	status   int
+	err      error
+	report   *core.Report   // a run's
+	reports  []*core.Report // a comparison's, in core.Strategies() order
 }
 
-func validateRun(req *runRequest) (*program, error) {
-	level, err := parseLevel(req.Level)
-	if err != nil {
-		return nil, err
+// validate turns one wire request into the item it names.  Its failures are
+// the client's request shape (400); resolving the program itself — build,
+// parse — happens later, under a service request slot, and fails as 422.  A
+// comparison runs every organisation, so it refuses a strategy.
+func validate(in *wire.RunRequest, compare bool) item {
+	it := item{status: http.StatusBadRequest}
+	if compare && in.Strategy != "" {
+		it.err = errors.New("compare runs every strategy; drop the strategy field")
+		return it
 	}
-	degree, err := parseDegree(req.Degree)
-	if err != nil {
-		return nil, err
+	if it.strategy, it.err = wire.ParseStrategy(in.Strategy); it.err != nil {
+		return it
+	}
+	if it.req.Level, it.err = wire.ParseLevel(in.Level); it.err != nil {
+		return it
 	}
 	cfg := core.DefaultConfig()
-	cfg.Degree = degree
+	if cfg.Degree, it.err = wire.ParseDegree(in.Degree); it.err != nil {
+		return it
+	}
 	// A replay is not interruptible mid-run (the loop is the 0-alloc hot
 	// path); what bounds how long a request can hold a worker slot is the
 	// instruction budget, so the server refuses budgets above its own
 	// default rather than letting a client wedge a slot arbitrarily long.
-	if req.MaxInstructions < 0 {
-		return nil, errors.New("max_instructions must be non-negative")
-	}
-	if req.MaxInstructions > cfg.MaxInstructions {
-		return nil, fmt.Errorf("max_instructions above the server bound %d", cfg.MaxInstructions)
-	}
-	cfg.MaxInstructions = req.MaxInstructions // 0 selects the default
-
-	p := &program{level: level, cfg: cfg}
 	switch {
-	case req.Workload != "" && req.Source != "":
-		return nil, errors.New("specify either workload or source, not both")
-	case req.Workload != "":
-		p.name, p.workload = req.Workload, req.Workload
-	case req.Source != "":
-		p.name = req.Name
-		if p.name == "" {
-			p.name = "submitted"
+	case in.MaxInstructions < 0:
+		it.err = errors.New("max_instructions must be non-negative")
+	case in.MaxInstructions > cfg.MaxInstructions:
+		it.err = fmt.Errorf("max_instructions above the server bound %d", cfg.MaxInstructions)
+	case in.Workload != "" && in.Source != "":
+		it.err = errors.New("specify either workload or source, not both")
+	case in.Workload != "":
+		it.req.Name, it.req.Workload = in.Workload, in.Workload
+	case in.Source != "":
+		it.req.Name, it.req.Source = in.Name, in.Source
+		if it.req.Name == "" {
+			it.req.Name = "submitted"
 		}
-		p.source = req.Source
 	default:
-		return nil, errors.New("specify workload or source")
+		it.err = errors.New("specify workload or source")
 	}
-	return p, nil
+	if it.err != nil {
+		return it
+	}
+	cfg.MaxInstructions = in.MaxInstructions // 0 selects the default
+	it.req.Config = cfg
+	it.status = 0
+	return it
 }
 
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
+// serve answers a call's pending items: they are admitted together, under
+// one request slot — so build and run both count against the -workers
+// bound — and run or compared in order, each answering the status it would
+// have received alone.  A call whose items all failed validation takes no
+// slot.  Only admission failure (overload, cancellation) fails the call as a
+// whole.
+func (s *server) serve(r *http.Request, items []item, compare bool) error {
+	pending := false
+	for i := range items {
+		pending = pending || items[i].status == 0
 	}
-	strategy, err := parseStrategy(req.Strategy)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
+	if !pending {
+		return nil
 	}
-	p, err := validateRun(&req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	// Build and run both happen inside the service's request slot, so the
-	// -workers bound covers compiles of submitted source, not just replays.
-	var rep *core.Report
-	if p.workload != "" {
-		rep, err = s.svc.RunWorkload(r.Context(), p.workload, p.level, strategy, p.cfg)
-	} else {
-		rep, err = s.svc.RunSource(r.Context(), p.name, p.source, p.level, strategy, p.cfg)
-	}
-	if err != nil {
-		writeError(w, r, statusFor(r, err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, runResponse{Report: reportToJSON(p.name, p.level, rep)})
+	return s.svc.Admit(r.Context(), func(ctx context.Context, run *service.Runner) error {
+		for i := range items {
+			it := &items[i]
+			if it.status != 0 {
+				continue
+			}
+			if compare {
+				it.reports, it.err = run.Compare(ctx, &it.req)
+			} else {
+				it.report, it.err = run.Run(ctx, &it.req, it.strategy)
+			}
+			// A divergent comparison still answers 200, with the
+			// per-strategy reports attached as evidence.
+			it.status = http.StatusOK
+			if it.err != nil && len(it.reports) == 0 {
+				it.status = statusFor(r, it.err)
+			}
+		}
+		return nil
+	})
 }
 
-func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req runRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
+// runItem renders an answered run in its batch wire form.
+func (it *item) runItem() wire.BatchRunItem {
+	if it.status != http.StatusOK {
+		return wire.BatchRunItem{Status: it.status, Error: it.err.Error()}
 	}
-	if req.Strategy != "" {
-		writeError(w, r, http.StatusBadRequest, errors.New("compare runs every strategy; drop the strategy field"))
-		return
+	rep := wire.NewReport(it.req.Name, it.req.Level, it.report)
+	return wire.BatchRunItem{Status: http.StatusOK, Report: &rep}
+}
+
+// compareItem renders an answered comparison in its batch wire form.
+func (it *item) compareItem() wire.BatchCompareItem {
+	if it.status != http.StatusOK {
+		return wire.BatchCompareItem{Status: it.status, Error: it.err.Error()}
 	}
-	p, err := validateRun(&req)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
-		return
-	}
-	var reports []*core.Report
-	var cmpErr error
-	if p.workload != "" {
-		reports, cmpErr = s.svc.CompareWorkload(r.Context(), p.workload, p.level, p.cfg)
-	} else {
-		reports, cmpErr = s.svc.CompareSource(r.Context(), p.name, p.source, p.level, p.cfg)
-	}
-	if cmpErr != nil && len(reports) == 0 {
-		writeError(w, r, statusFor(r, cmpErr), cmpErr)
-		return
-	}
-	resp := compareResponse{Agree: cmpErr == nil}
-	if len(reports) > 0 {
-		resp.Output = reports[0].Output
-	}
-	if cmpErr != nil {
+	c := wire.BatchCompareItem{Status: http.StatusOK, Agree: it.err == nil, Output: it.reports[0].Output}
+	if it.err != nil {
 		// The paper's equivalence invariant failed: report the divergence
 		// with the per-strategy evidence attached.
-		resp.Error = cmpErr.Error()
+		c.Error = it.err.Error()
 	}
-	for _, rep := range reports {
-		resp.Reports = append(resp.Reports, reportToJSON(p.name, p.level, rep))
+	for _, rep := range it.reports {
+		c.Reports = append(c.Reports, wire.NewReport(it.req.Name, it.req.Level, rep))
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return c
 }
 
-// decodeBatch parses and bounds a batch envelope: empty and oversized
-// batches are whole-request errors (400), everything past that is per-item.
-func (s *server) decodeBatch(w http.ResponseWriter, r *http.Request) (*batchRequest, error) {
-	var req batchRequest
-	if err := decodeBodyLimit(w, r, &req, maxBatchRequestBytes); err != nil {
-		return nil, err
-	}
-	if len(req.Items) == 0 {
-		return nil, errors.New("batch requires at least one item")
-	}
-	if len(req.Items) > maxBatchItems {
-		return nil, fmt.Errorf("batch carries %d items, above the server bound %d",
-			len(req.Items), maxBatchItems)
-	}
-	return &req, nil
-}
+func (s *server) handleRun(w http.ResponseWriter, r *http.Request)     { s.handleOne(w, r, false) }
+func (s *server) handleCompare(w http.ResponseWriter, r *http.Request) { s.handleOne(w, r, true) }
 
-// handleBatchRun is /v1/run amortised: the envelope is decoded once, admitted
-// once (one request slot for the whole batch), and answered in one response
-// write.  Items fail individually with the status a standalone request would
-// have received; only admission failure (overload, cancellation) fails the
-// envelope itself.
-func (s *server) handleBatchRun(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeBatch(w, r)
-	if err != nil {
+// handleOne serves /v1/run and /v1/compare: a call of one item, answered
+// with its report or comparison, or with its error as the whole response.
+func (s *server) handleOne(w http.ResponseWriter, r *http.Request, compare bool) {
+	var in wire.RunRequest
+	if err := decodeBody(w, r, &in); err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	items := make([]batchRunItem, len(req.Items))
-	err = s.svc.Batch(r.Context(), func(ctx context.Context, b *service.BatchRunner) error {
-		for i := range req.Items {
-			items[i] = s.runBatchItem(ctx, r, b, &req.Items[i])
-		}
-		return nil
-	})
-	if err != nil {
+	items := [1]item{validate(&in, compare)}
+	if err := s.serve(r, items[:], compare); err != nil {
 		writeError(w, r, statusFor(r, err), err)
 		return
 	}
-	resp := batchRunResponse{Items: items}
-	for i := range items {
-		if items[i].Status != http.StatusOK {
-			resp.Failed++
-		}
+	switch it := &items[0]; {
+	case it.status != http.StatusOK:
+		writeError(w, r, it.status, it.err)
+	case compare:
+		c := it.compareItem()
+		wire.WriteJSON(w, http.StatusOK, wire.CompareResponse{
+			Output: c.Output, Agree: c.Agree, Error: c.Error, Reports: c.Reports})
+	default:
+		wire.WriteJSON(w, http.StatusOK, wire.RunResponse{Report: wire.NewReport(it.req.Name, it.req.Level, it.report)})
 	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
-// runBatchItem runs one batch item under the already-held batch slot and
-// folds the outcome into its per-item wire form.
-func (s *server) runBatchItem(ctx context.Context, r *http.Request, b *service.BatchRunner, req *runRequest) batchRunItem {
-	strategy, err := parseStrategy(req.Strategy)
-	if err != nil {
-		return batchRunItem{Status: http.StatusBadRequest, Error: err.Error()}
-	}
-	p, err := validateRun(req)
-	if err != nil {
-		return batchRunItem{Status: http.StatusBadRequest, Error: err.Error()}
-	}
-	var rep *core.Report
-	if p.workload != "" {
-		rep, err = b.RunWorkload(ctx, p.workload, p.level, strategy, p.cfg)
-	} else {
-		rep, err = b.RunSource(ctx, p.name, p.source, p.level, strategy, p.cfg)
-	}
-	if err != nil {
-		return batchRunItem{Status: statusFor(r, err), Error: err.Error()}
-	}
-	rj := reportToJSON(p.name, p.level, rep)
-	return batchRunItem{Status: http.StatusOK, Report: &rj}
-}
-
-// handleBatchCompare is /v1/compare amortised the same way.
+func (s *server) handleBatchRun(w http.ResponseWriter, r *http.Request) { s.handleBatch(w, r, false) }
 func (s *server) handleBatchCompare(w http.ResponseWriter, r *http.Request) {
-	req, err := s.decodeBatch(w, r)
+	s.handleBatch(w, r, true)
+}
+
+// handleBatch serves /batch/run and /batch/compare, the single endpoints
+// amortised: the envelope is decoded once, admitted once (one request slot
+// for the whole batch), and answered in one response write.  Empty and
+// oversized envelopes are whole-request errors (400); everything past that
+// is per item.
+func (s *server) handleBatch(w http.ResponseWriter, r *http.Request, compare bool) {
+	var in wire.BatchRequest
+	err := decodeBodyLimit(w, r, &in, maxBatchRequestBytes)
+	switch {
+	case err != nil:
+	case len(in.Items) == 0:
+		err = errors.New("batch requires at least one item")
+	case len(in.Items) > maxBatchItems:
+		err = fmt.Errorf("batch carries %d items, above the server bound %d", len(in.Items), maxBatchItems)
+	}
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	items := make([]batchCompareItem, len(req.Items))
-	err = s.svc.Batch(r.Context(), func(ctx context.Context, b *service.BatchRunner) error {
-		for i := range req.Items {
-			items[i] = s.compareBatchItem(ctx, r, b, &req.Items[i])
-		}
-		return nil
-	})
-	if err != nil {
+	items := make([]item, len(in.Items))
+	for i := range in.Items {
+		items[i] = validate(&in.Items[i], compare)
+	}
+	if err := s.serve(r, items, compare); err != nil {
 		writeError(w, r, statusFor(r, err), err)
 		return
 	}
-	resp := batchCompareResponse{Items: items}
+	failed := 0
 	for i := range items {
-		if items[i].Status != http.StatusOK {
-			resp.Failed++
+		if items[i].status != http.StatusOK {
+			failed++
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// compareBatchItem compares one batch item under the already-held batch slot.
-func (s *server) compareBatchItem(ctx context.Context, r *http.Request, b *service.BatchRunner, req *runRequest) batchCompareItem {
-	if req.Strategy != "" {
-		return batchCompareItem{Status: http.StatusBadRequest,
-			Error: "compare runs every strategy; drop the strategy field"}
+	if compare {
+		out := make([]wire.BatchCompareItem, len(items))
+		for i := range items {
+			out[i] = items[i].compareItem()
+		}
+		wire.WriteJSON(w, http.StatusOK, wire.BatchCompareResponse{Items: out, Failed: failed})
+		return
 	}
-	p, err := validateRun(req)
-	if err != nil {
-		return batchCompareItem{Status: http.StatusBadRequest, Error: err.Error()}
+	out := make([]wire.BatchRunItem, len(items))
+	for i := range items {
+		out[i] = items[i].runItem()
 	}
-	var reports []*core.Report
-	var cmpErr error
-	if p.workload != "" {
-		reports, cmpErr = b.CompareWorkload(ctx, p.workload, p.level, p.cfg)
-	} else {
-		reports, cmpErr = b.CompareSource(ctx, p.name, p.source, p.level, p.cfg)
-	}
-	if cmpErr != nil && len(reports) == 0 {
-		return batchCompareItem{Status: statusFor(r, cmpErr), Error: cmpErr.Error()}
-	}
-	item := batchCompareItem{Status: http.StatusOK, Agree: cmpErr == nil}
-	if len(reports) > 0 {
-		item.Output = reports[0].Output
-	}
-	if cmpErr != nil {
-		item.Error = cmpErr.Error()
-	}
-	for _, rep := range reports {
-		item.Reports = append(item.Reports, reportToJSON(p.name, p.level, rep))
-	}
-	return item
+	wire.WriteJSON(w, http.StatusOK, wire.BatchRunResponse{Items: out, Failed: failed})
 }
 
 func (s *server) handleConformance(w http.ResponseWriter, r *http.Request) {
-	var req conformanceRequest
+	var req wire.ConformanceRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
@@ -521,108 +430,43 @@ func (s *server) handleConformance(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, statusFor(r, err), err)
 		return
 	}
-	resp := conformanceResponse{Name: name, Conforms: len(divs) == 0}
+	resp := wire.ConformanceResponse{Name: name, Conforms: len(divs) == 0}
 	for _, d := range divs {
 		resp.Divergences = append(resp.Divergences, d.String())
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	var req experimentRequest
+	var req wire.ExperimentRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	// An experiment fans out to the engine's full worker width, so it is
 	// admitted exclusively — holding every request slot — which keeps total
-	// simulation concurrency exactly at the -workers bound.  The sweep grows
-	// registry artifacts outside the per-request accounting path, so the
-	// byte budget is re-synced afterwards.
+	// simulation concurrency exactly at the -workers bound.  It renders
+	// through the registry-backed engine, sharing the server's artifact
+	// cache; the sweep grows registry artifacts outside the per-request
+	// accounting path, so the byte budget is re-synced afterwards.  Seed 1
+	// is uhmbench's -seed default, so both render the same populations.
 	var text string
-	err := s.svc.AdmitExclusive(r.Context(), func(context.Context) error {
+	err := s.svc.AdmitExclusive(r.Context(), func(ctx context.Context) error {
 		var err error
-		text, err = s.runExperiment(r, req.Name, req.Workload)
+		text, err = s.engine.Experiment(ctx, req.Name,
+			core.ExperimentOptions{Workload: req.Workload, Seed: 1}, core.DefaultConfig())
 		s.svc.Registry().SyncAll()
 		return err
 	})
 	if err != nil {
 		status := statusFor(r, err)
-		if errors.Is(err, errUnknownExperiment) {
+		if errors.Is(err, core.ErrUnknownExperiment) {
 			status = http.StatusBadRequest
 		}
 		writeError(w, r, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, experimentResponse{Name: req.Name, Text: text})
-}
-
-var errUnknownExperiment = errors.New("unknown experiment")
-
-// runExperiment renders one named experiment through the registry-backed
-// engine — the same sweep cmd/uhmbench runs, sharing the server's artifact
-// cache.
-func (s *server) runExperiment(r *http.Request, name, workloadName string) (string, error) {
-	ctx := r.Context()
-	cfg := core.DefaultConfig()
-	var workloads []string
-	if workloadName != "" {
-		workloads = []string{workloadName}
-	}
-	switch name {
-	case "table1":
-		return core.Table1Report(), nil
-	case "table2":
-		t, err := s.engine.Table2(ctx)
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	case "table3":
-		t, err := s.engine.Table3(ctx)
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	case "figure1":
-		rows, err := s.engine.Figure1(ctx, workloads, cfg)
-		if err != nil {
-			return "", err
-		}
-		return core.RenderFigure1(rows), nil
-	case "figure2":
-		org, rows, err := s.engine.Figure2(ctx, workloadName, cfg)
-		if err != nil {
-			return "", err
-		}
-		return core.RenderFigure2(org, rows), nil
-	case "figure3":
-		act, err := s.engine.Figure3(ctx, workloadName, cfg)
-		if err != nil {
-			return "", err
-		}
-		return core.RenderFigure3(act), nil
-	case "figure4":
-		stats, err := s.engine.Figure4(ctx, workloadName, cfg)
-		if err != nil {
-			return "", err
-		}
-		return core.RenderFigure4(stats), nil
-	case "empirical":
-		rows, err := s.engine.Empirical(ctx, workloads, cfg)
-		if err != nil {
-			return "", err
-		}
-		return core.RenderEmpirical(rows), nil
-	case "compaction":
-		rows, err := s.engine.Compaction(ctx, workloads, core.LevelStack)
-		if err != nil {
-			return "", err
-		}
-		return core.RenderCompaction(rows), nil
-	default:
-		return "", fmt.Errorf("%w %q", errUnknownExperiment, name)
-	}
+	wire.WriteJSON(w, http.StatusOK, wire.ExperimentResponse{Name: req.Name, Text: text})
 }
 
 // statusFor maps an error to an HTTP status.  The typed service errors come

@@ -73,19 +73,18 @@ func run(workloadName, file, archetype string, genSeed int64, levelName, degreeN
 	// the two paths cannot drift.
 	svc := service.New(service.Options{})
 	ctx := context.Background()
-	art, err := buildArtifact(svc, workloadName, file, archetype, genSeed, level)
+	req, err := buildRequest(workloadName, file, archetype, genSeed, level)
 	if err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig()
-	cfg.Degree = degree
+	req.Config = core.DefaultConfig()
+	req.Config.Degree = degree
 
 	if compare {
-		// CompareArtifact reports a mismatch through its error, but the
-		// reports themselves are still returned; keep them so a divergence
-		// can be shown as a per-strategy diff rather than a bare error
-		// string.
-		reports, cmpErr := svc.CompareArtifact(ctx, art, cfg)
+		// Compare reports a mismatch through its error, but the reports
+		// themselves are still returned; keep them so a divergence can be
+		// shown as a per-strategy diff rather than a bare error string.
+		reports, cmpErr := svc.Compare(ctx, req)
 		if len(reports) == 0 {
 			if cmpErr != nil {
 				return cmpErr
@@ -119,11 +118,11 @@ func run(workloadName, file, archetype string, genSeed int64, levelName, degreeN
 	if err != nil {
 		return err
 	}
-	rep, err := svc.RunArtifact(ctx, art, strategy, cfg)
+	rep, err := svc.Run(ctx, req, strategy)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("program:        %s (level %s, %s encoding)\n", art.Name, art.Level, degree)
+	fmt.Printf("program:        %s (level %s, %s encoding)\n", req.Name, req.Level, degree)
 	fmt.Printf("output:         %v\n", rep.Output)
 	fmt.Printf("instructions:   %d\n", rep.Instructions)
 	fmt.Printf("total cycles:   %d (%.2f per DIR instruction)\n", rep.TotalCycles, rep.PerInstruction)
@@ -193,7 +192,9 @@ func outputDiff(a, b []int64) []string {
 	return diffs
 }
 
-func buildArtifact(svc *service.Service, workloadName, file, archetype string, genSeed int64, level core.Level) (*core.Artifact, error) {
+// buildRequest names the program the flags select; the service resolves it
+// through its content-addressed registry, the path uhmd serves.
+func buildRequest(workloadName, file, archetype string, genSeed int64, level core.Level) (*service.Request, error) {
 	selected := 0
 	for _, s := range []string{workloadName, file, archetype} {
 		if s != "" {
@@ -205,13 +206,13 @@ func buildArtifact(svc *service.Service, workloadName, file, archetype string, g
 	}
 	switch {
 	case workloadName != "":
-		return svc.ArtifactWorkload(workloadName, level)
+		return &service.Request{Name: workloadName, Workload: workloadName, Level: level}, nil
 	case file != "":
 		src, err := os.ReadFile(file)
 		if err != nil {
 			return nil, err
 		}
-		return svc.ArtifactSource(file, string(src), level)
+		return &service.Request{Name: file, Source: string(src), Level: level}, nil
 	case archetype != "":
 		p, err := workload.GenerateArchetype(archetype, genSeed)
 		if err != nil {
@@ -219,7 +220,7 @@ func buildArtifact(svc *service.Service, workloadName, file, archetype string, g
 		}
 		// Generated programs ride the same content-addressed source path a
 		// -file run uses, so the registry and server code paths are shared.
-		return svc.ArtifactSource(p.Name, p.Source, level)
+		return &service.Request{Name: p.Name, Source: p.Source, Level: level}, nil
 	default:
 		return nil, fmt.Errorf("specify -workload, -file or -archetype (use -list / -list-archetypes)")
 	}

@@ -77,6 +77,16 @@ func TestParseStrategy(t *testing.T) {
 	}
 }
 
+// buildArtifact resolves the flags' request the way a run does: through the
+// service's content-addressed registry.
+func buildArtifact(svc *service.Service, workloadName, file, archetype string, genSeed int64, level core.Level) (*core.Artifact, error) {
+	req, err := buildRequest(workloadName, file, archetype, genSeed, level)
+	if err != nil {
+		return nil, err
+	}
+	return svc.Resolve(req)
+}
+
 func TestBuildArtifactValidation(t *testing.T) {
 	svc := service.New(service.Options{})
 	if _, err := buildArtifact(svc, "fib", "prog.ml", "", 1, core.LevelStack); err == nil {

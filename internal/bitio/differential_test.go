@@ -7,7 +7,7 @@ import (
 )
 
 // The tests in this file hold the word-at-a-time fast paths to the retained
-// bit-at-a-time reference implementation (reference.go): same writes must
+// bit-at-a-time reference implementation (reference_test.go): same writes must
 // produce the same bytes, same reads must produce the same values, errors and
 // stream positions — over random widths, values, alignments and bit offsets.
 

@@ -14,7 +14,7 @@
 //
 // The reader and writer operate word-at-a-time: a field is gathered or
 // scattered through a 64-bit accumulator over the byte buffer instead of one
-// bit per iteration.  reference.go retains the original bit-at-a-time
+// bit per iteration.  reference_test.go retains the original bit-at-a-time
 // implementation, which the differential tests in this package hold the fast
 // paths to, bit for bit.
 package bitio

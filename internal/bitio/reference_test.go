@@ -5,10 +5,8 @@ package bitio
 // fast paths in bitio.go must match them bit for bit, including error values
 // and the position at which a failing operation leaves the stream.  The
 // differential and fuzz tests in this package drive both implementations over
-// the same operation sequences and compare every observable.
-//
-// The reference implementations are deliberately unexported: production code
-// uses the fast paths; only tests (and future debugging) reach for these.
+// the same operation sequences and compare every observable.  Living in a
+// test file keeps the oracle out of the production build.
 
 // refWriter is the bit-at-a-time Writer.
 type refWriter struct {

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,6 +26,84 @@ import (
 // when the caller does not choose their own.
 func DefaultExperimentWorkloads() []string {
 	return []string{"loopsum", "fib", "sieve", "callheavy"}
+}
+
+// experiments is the catalogue of named experiments, in the order "all"
+// runs them.
+var experiments = []string{
+	"table1", "table2", "table3",
+	"figure1", "figure2", "figure3", "figure4",
+	"empirical", "compaction",
+	"archsweep", "modelerr",
+}
+
+// Experiments lists every experiment name, in the order "all" runs them.
+func Experiments() []string { return slices.Clone(experiments) }
+
+// ErrUnknownExperiment is Engine.Experiment's answer to a name outside
+// Experiments.
+var ErrUnknownExperiment = errors.New("unknown experiment")
+
+// ExperimentOptions are the knobs a named experiment reads: Workload narrows
+// the figure experiments to one workload; Archetypes, Programs and Seed shape
+// the archsweep and modelerr populations (nil and 0 select the full
+// catalogue and the default population size).
+type ExperimentOptions struct {
+	Workload   string
+	Archetypes []string
+	Programs   int
+	Seed       int64
+}
+
+// Experiment runs one named experiment and renders it: the single catalogue
+// cmd/uhmbench prints and cmd/uhmd serves.
+func (e Engine) Experiment(ctx context.Context, name string, opts ExperimentOptions, cfg Config) (string, error) {
+	var workloads []string
+	if opts.Workload != "" {
+		workloads = []string{opts.Workload}
+	}
+	switch name {
+	case "table1":
+		return Table1Report(), nil
+	case "table2":
+		t, err := e.Table2(ctx)
+		return rendered(t, err, (*perfmodel.Table).Render)
+	case "table3":
+		t, err := e.Table3(ctx)
+		return rendered(t, err, (*perfmodel.Table).Render)
+	case "figure1":
+		rows, err := e.Figure1(ctx, workloads, cfg)
+		return rendered(rows, err, RenderFigure1)
+	case "figure2":
+		org, rows, err := e.Figure2(ctx, opts.Workload, cfg)
+		return rendered(rows, err, func(rows []Figure2Row) string { return RenderFigure2(org, rows) })
+	case "figure3":
+		act, err := e.Figure3(ctx, opts.Workload, cfg)
+		return rendered(act, err, RenderFigure3)
+	case "figure4":
+		stats, err := e.Figure4(ctx, opts.Workload, cfg)
+		return rendered(stats, err, RenderFigure4)
+	case "empirical":
+		rows, err := e.Empirical(ctx, workloads, cfg)
+		return rendered(rows, err, RenderEmpirical)
+	case "compaction":
+		rows, err := e.Compaction(ctx, workloads, LevelStack)
+		return rendered(rows, err, RenderCompaction)
+	case "archsweep":
+		rows, err := e.ArchetypeSweep(ctx, opts.Archetypes, opts.Programs, opts.Seed, cfg)
+		return rendered(rows, err, RenderArchetypeSweep)
+	case "modelerr":
+		v, err := e.ModelValidation(ctx, opts.Archetypes, opts.Programs, opts.Seed, cfg)
+		return rendered(v, err, RenderModelValidation)
+	}
+	return "", fmt.Errorf("%w %q", ErrUnknownExperiment, name)
+}
+
+func rendered[T any](v T, err error, render func(T) string) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	return render(v), nil
 }
 
 // --- Table 1 -------------------------------------------------------------

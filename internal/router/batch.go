@@ -1,16 +1,14 @@
 package router
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"uhm/internal/faultinject"
+	"uhm/internal/wire"
 )
 
 // rawBatch keeps batch items opaque: the router splits and merges envelopes
@@ -65,10 +63,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 
 	rt.proxied.Add(1)
-	writeRouterJSON(w, http.StatusOK, struct {
-		Items  []json.RawMessage `json:"items"`
-		Failed int64             `json:"failed"`
-	}{Items: results, Failed: failed.Load()})
+	wire.WriteJSON(w, http.StatusOK, rawBatchResponse{Items: results, Failed: int(failed.Load())})
 }
 
 // firstHealthy picks the first healthy backend of an owner list ("" when
@@ -83,27 +78,35 @@ func (rt *Router) firstHealthy(owners []string) string {
 }
 
 // sendSubBatch delivers one owner's items, re-splitting across the ring's
-// successors when the owner dies mid-flight.  budget bounds the recursion
-// (each level ejects at least one backend, so backends+1 always suffices);
-// every exit fills results[idx] for each idx — no item is ever dropped.
+// successors when the owner dies mid-flight.  With no backend left to try —
+// the fleet is down, or budget is spent — the local fallback is the last
+// owner, and its answer merges through the same tail.  budget bounds the
+// recursion (each level ejects at least one backend, so backends+1 always
+// suffices); every exit fills results[idx] for each idx — no item is ever
+// dropped.
 func (rt *Router) sendSubBatch(r *http.Request, items []json.RawMessage, idxs []int, owner string, results []json.RawMessage, failed *atomic.Int64, budget int) {
-	if owner == "" || budget <= 0 {
-		rt.fallbackSubBatch(r, items, idxs, results, failed)
-		return
-	}
 	sub, err := json.Marshal(rawBatch{Items: pick(items, idxs)})
 	if err != nil {
 		rt.failGroup(idxs, results, failed, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp, err := rt.try(r, owner, sub)
-	if err == errBackendSaturated {
+	local := owner == "" || budget <= 0
+	var resp *bufferedResponse
+	if local {
+		resp, err = rt.serveLocal(r, sub)
+	} else {
+		resp, err = rt.try(r, owner, sub)
+	}
+	switch {
+	case err == errBackendSaturated:
 		rt.rejected.Add(1)
 		rt.failGroup(idxs, results, failed, http.StatusServiceUnavailable,
 			fmt.Sprintf("backend %s at in-flight cap", owner))
 		return
-	}
-	if err != nil {
+	case err != nil && local:
+		rt.failGroup(idxs, results, failed, http.StatusServiceUnavailable, err.Error())
+		return
+	case err != nil:
 		// The owner died with our sub-batch: eject it and re-place every
 		// item on the survivors (they may now split across several owners).
 		if rt.health.eject(owner, time.Now()) {
@@ -125,53 +128,18 @@ func (rt *Router) sendSubBatch(r *http.Request, items []json.RawMessage, idxs []
 		return
 	}
 	if resp.status != http.StatusOK {
-		// An envelope-level backend answer (overload, validation): every
-		// item in the group inherits it, siblings in other groups carry on.
-		rt.failGroup(idxs, results, failed, resp.status, envelopeError(resp.body))
+		// An envelope-level answer (overload, validation): every item in the
+		// group inherits it, siblings in other groups carry on.
+		rt.failGroup(idxs, results, failed, resp.status, envelopeError(resp.body.Bytes()))
 		return
 	}
 	var sr rawBatchResponse
-	if err := json.Unmarshal(resp.body, &sr); err != nil || len(sr.Items) != len(idxs) {
-		rt.failGroup(idxs, results, failed, http.StatusBadGateway,
-			fmt.Sprintf("backend %s answered a malformed batch envelope", owner))
-		return
-	}
-	for k, idx := range idxs {
-		results[idx] = sr.Items[k]
-	}
-	failed.Add(int64(sr.Failed))
-}
-
-// fallbackSubBatch serves a group locally when no backend can: the
-// sub-batch is replayed through the fallback handler into an in-memory
-// response and merged like any backend answer.
-func (rt *Router) fallbackSubBatch(r *http.Request, items []json.RawMessage, idxs []int, results []json.RawMessage, failed *atomic.Int64) {
-	if err := faultinject.Fire(faultinject.SiteRouterFallback); err != nil {
-		rt.failGroup(idxs, results, failed, http.StatusServiceUnavailable, "injected fallback fault: "+err.Error())
-		return
-	}
-	if rt.fallback == nil {
-		rt.failGroup(idxs, results, failed, http.StatusServiceUnavailable, "no healthy backends")
-		return
-	}
-	rt.fallbacks.Add(1)
-	sub, err := json.Marshal(rawBatch{Items: pick(items, idxs)})
-	if err != nil {
-		rt.failGroup(idxs, results, failed, http.StatusInternalServerError, err.Error())
-		return
-	}
-	req := r.Clone(r.Context())
-	req.Body = io.NopCloser(bytes.NewReader(sub))
-	req.ContentLength = int64(len(sub))
-	var mem memoryResponse
-	rt.fallback.ServeHTTP(&mem, req)
-	if mem.code() != http.StatusOK {
-		rt.failGroup(idxs, results, failed, mem.code(), envelopeError(mem.buf.Bytes()))
-		return
-	}
-	var sr rawBatchResponse
-	if err := json.Unmarshal(mem.buf.Bytes(), &sr); err != nil || len(sr.Items) != len(idxs) {
-		rt.failGroup(idxs, results, failed, http.StatusBadGateway, "fallback answered a malformed batch envelope")
+	if err := json.Unmarshal(resp.body.Bytes(), &sr); err != nil || len(sr.Items) != len(idxs) {
+		who := "fallback"
+		if !local {
+			who = "backend " + owner
+		}
+		rt.failGroup(idxs, results, failed, http.StatusBadGateway, who+" answered a malformed batch envelope")
 		return
 	}
 	for k, idx := range idxs {
@@ -181,27 +149,19 @@ func (rt *Router) fallbackSubBatch(r *http.Request, items []json.RawMessage, idx
 }
 
 // failGroup fills a group's result slots with a synthesized per-item error
-// matching the backend batch item shape.
+// in the backend's batch item shape.
 func (rt *Router) failGroup(idxs []int, results []json.RawMessage, failed *atomic.Int64, status int, msg string) {
-	item, err := json.Marshal(struct {
-		Status int    `json:"status"`
-		Error  string `json:"error"`
-	}{Status: status, Error: msg})
-	if err != nil {
-		item = []byte(fmt.Sprintf(`{"status":%d,"error":"router error"}`, status))
-	}
+	item, _ := json.Marshal(wire.BatchRunItem{Status: status, Error: msg})
 	for _, idx := range idxs {
 		results[idx] = item
 	}
 	failed.Add(int64(len(idxs)))
 }
 
-// envelopeError extracts the {"error": ...} text of a backend error body
-// (the raw body if it is not that shape).
+// envelopeError extracts the error text of a backend error body (the raw body
+// if it is not that shape).
 func envelopeError(body []byte) string {
-	var e struct {
-		Error string `json:"error"`
-	}
+	var e wire.ErrorResponse
 	if err := json.Unmarshal(body, &e); err == nil && e.Error != "" {
 		return e.Error
 	}
@@ -214,39 +174,4 @@ func pick(items []json.RawMessage, idxs []int) []json.RawMessage {
 		out[k] = items[idx]
 	}
 	return out
-}
-
-// memoryResponse is the in-memory http.ResponseWriter the fallback
-// sub-batch path renders into.
-type memoryResponse struct {
-	hdr    http.Header
-	status int
-	buf    bytes.Buffer
-}
-
-func (m *memoryResponse) Header() http.Header {
-	if m.hdr == nil {
-		m.hdr = make(http.Header)
-	}
-	return m.hdr
-}
-
-func (m *memoryResponse) Write(b []byte) (int, error) {
-	if m.status == 0 {
-		m.status = http.StatusOK
-	}
-	return m.buf.Write(b)
-}
-
-func (m *memoryResponse) WriteHeader(status int) {
-	if m.status == 0 {
-		m.status = status
-	}
-}
-
-func (m *memoryResponse) code() int {
-	if m.status == 0 {
-		return http.StatusOK
-	}
-	return m.status
 }

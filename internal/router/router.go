@@ -13,9 +13,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uhm/internal/core"
 	"uhm/internal/faultinject"
 	"uhm/internal/service"
+	"uhm/internal/wire"
 	"uhm/internal/workload"
 )
 
@@ -30,6 +30,10 @@ const maxRequestBytes = 8 << 20
 // NOT eject the backend or retry elsewhere (retrying would defeat placement
 // and melt the next backend too).
 var errBackendSaturated = errors.New("backend at in-flight cap")
+
+// errNoBackends answers a request no backend can serve when no local
+// fallback is configured: the outage itself, as a 503 with Retry-After.
+var errNoBackends = errors.New("no healthy backends")
 
 // Options configure a Router.
 type Options struct {
@@ -206,20 +210,13 @@ func backendURL(backend, path string) string {
 	return "http://" + backend + path
 }
 
-// keyProbe is the lenient decode the router applies to run/compare bodies:
-// just enough to place the request.  Full validation stays on the backend.
-type keyProbe struct {
-	Workload string `json:"workload"`
-	Source   string `json:"source"`
-	Level    string `json:"level"`
-}
-
-// placementHash resolves a body to its ring position.  ok is false when the
-// body does not determine a key (unknown workload, bad level, malformed
-// JSON); such requests still need a backend — to produce the right error —
-// so the caller falls back to body-hash spreading.
+// placementHash resolves a body to its ring position: just enough of a lenient
+// decode to place the request, with full validation left to the backend.  ok
+// is false when the body does not determine a key (unknown workload, bad
+// level, malformed JSON); such requests still need a backend — to produce
+// the right error — so the caller falls back to body-hash spreading.
 func placementHash(body []byte) (uint64, bool) {
-	var p keyProbe
+	var p wire.RunRequest
 	if err := json.Unmarshal(body, &p); err != nil {
 		return 0, false
 	}
@@ -231,16 +228,9 @@ func placementHash(body []byte) (uint64, bool) {
 		}
 		src = ws
 	}
-	if src == "" {
+	level, err := wire.ParseLevel(p.Level)
+	if src == "" || err != nil {
 		return 0, false
-	}
-	level := core.LevelStack
-	if p.Level != "" {
-		l, err := core.ParseLevel(p.Level)
-		if err != nil {
-			return 0, false
-		}
-		level = l
 	}
 	return KeyHash(service.KeyOf(src, level)), true
 }
@@ -281,7 +271,7 @@ func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {
-		writeRouterError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+		wire.WriteError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err), "")
 		return nil, false
 	}
 	return body, true
@@ -289,10 +279,10 @@ func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool
 
 // forward tries each owner in ring order, skipping unhealthy backends,
 // ejecting (and retrying on the next owner) on transport failure, and
-// falling back to local service when the whole list is exhausted.  A
-// backend that answered — any status — ends the walk: HTTP-level errors
-// (422, 503, ...) are real answers owned by the placement, not routing
-// failures.
+// falling back to the local handler when the whole list is exhausted (with
+// no fallback configured the outage is answered 503).  A backend that
+// answered — any status — ends the walk: HTTP-level errors (422, 503, ...)
+// are real answers owned by the placement, not routing failures.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, owners []string) {
 	for _, b := range owners {
 		if !rt.health.isHealthy(b) {
@@ -302,7 +292,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, o
 		if err == errBackendSaturated {
 			rt.rejected.Add(1)
 			w.Header().Set("Retry-After", "1")
-			writeRouterError(w, http.StatusServiceUnavailable, fmt.Errorf("backend %s %w", b, err))
+			wire.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("backend %s %w", b, err), "")
 			return
 		}
 		if err != nil {
@@ -316,15 +306,37 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, o
 		copyResponse(w, resp)
 		return
 	}
-	rt.serveFallback(w, r, body)
+	resp, err := rt.serveLocal(r, body)
+	if err != nil {
+		if err == errNoBackends {
+			w.Header().Set("Retry-After", "1")
+		}
+		wire.WriteError(w, http.StatusServiceUnavailable, err, "")
+		return
+	}
+	copyResponse(w, resp)
 }
 
-// bufferedResponse is a fully-read backend answer, safe to replay to the
-// client after the connection that produced it is gone.
+// bufferedResponse is a fully-read answer, safe to replay to the client after
+// whatever produced it is gone: a backend's, read off its connection, or the
+// local fallback's, rendered into it as the handler's ResponseWriter.
 type bufferedResponse struct {
-	status      int
-	contentType string
-	body        []byte
+	status int
+	header http.Header
+	body   bytes.Buffer
+}
+
+func (b *bufferedResponse) Header() http.Header { return b.header }
+
+func (b *bufferedResponse) WriteHeader(status int) {
+	if b.status == 0 {
+		b.status = status
+	}
+}
+
+func (b *bufferedResponse) Write(p []byte) (int, error) {
+	b.WriteHeader(http.StatusOK)
+	return b.body.Write(p)
 }
 
 // try proxies one buffered request to one backend under its in-flight cap.
@@ -360,39 +372,24 @@ func (rt *Router) try(r *http.Request, backend string, body []byte) (*bufferedRe
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	out := &bufferedResponse{status: resp.StatusCode, header: resp.Header}
+	if _, err := out.body.ReadFrom(resp.Body); err != nil {
 		// The backend died mid-response; the buffered request makes the
 		// retry on the next owner safe.
 		return nil, err
 	}
-	return &bufferedResponse{
-		status:      resp.StatusCode,
-		contentType: resp.Header.Get("Content-Type"),
-		body:        data,
-	}, nil
+	return out, nil
 }
 
-func copyResponse(w http.ResponseWriter, resp *bufferedResponse) {
-	if resp.contentType != "" {
-		w.Header().Set("Content-Type", resp.contentType)
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(resp.body)))
-	w.WriteHeader(resp.status)
-	_, _ = w.Write(resp.body)
-}
-
-// serveFallback degrades to the local single-node handler when no backend
-// is reachable; with no fallback configured the outage is answered 503.
-func (rt *Router) serveFallback(w http.ResponseWriter, r *http.Request, body []byte) {
+// serveLocal answers a buffered request from the fallback handler, the last
+// owner when no backend can answer.  It renders into memory, so its answer is
+// replayed or merged exactly like a backend's.
+func (rt *Router) serveLocal(r *http.Request, body []byte) (*bufferedResponse, error) {
 	if err := faultinject.Fire(faultinject.SiteRouterFallback); err != nil {
-		writeRouterError(w, http.StatusServiceUnavailable, fmt.Errorf("injected fallback fault: %w", err))
-		return
+		return nil, fmt.Errorf("injected fallback fault: %w", err)
 	}
 	if rt.fallback == nil {
-		w.Header().Set("Retry-After", "1")
-		writeRouterError(w, http.StatusServiceUnavailable, errors.New("no healthy backends"))
-		return
+		return nil, errNoBackends
 	}
 	rt.fallbacks.Add(1)
 	rt.logf("router: no healthy backends, serving %s locally", r.URL.Path)
@@ -401,31 +398,32 @@ func (rt *Router) serveFallback(w http.ResponseWriter, r *http.Request, body []b
 		r2.Body = io.NopCloser(bytes.NewReader(body))
 		r2.ContentLength = int64(len(body))
 	}
-	rt.fallback.ServeHTTP(w, r2)
+	out := &bufferedResponse{header: make(http.Header)}
+	rt.fallback.ServeHTTP(out, r2)
+	out.WriteHeader(http.StatusOK) // a handler that wrote nothing answered 200
+	return out, nil
+}
+
+// forwardedHeaders are the answer headers that reach the client through the
+// router: the body's type, an overload's back-off hint, and the request ID.
+var forwardedHeaders = []string{"Content-Type", "Retry-After", "X-Request-ID"}
+
+func copyResponse(w http.ResponseWriter, resp *bufferedResponse) {
+	for _, k := range forwardedHeaders {
+		if v := resp.header.Get(k); v != "" {
+			w.Header().Set(k, v)
+		}
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(resp.body.Len()))
+	w.WriteHeader(resp.status)
+	_, _ = w.Write(resp.body.Bytes())
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	healthy, unhealthy, _, _ := rt.health.view()
-	writeRouterJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":    "ok",
 		"healthy":   len(healthy),
 		"unhealthy": len(unhealthy),
 	})
-}
-
-func writeRouterJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, `{"error":"encoding response"}`, http.StatusInternalServerError)
-		return
-	}
-	data = append(data, '\n')
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(status)
-	_, _ = w.Write(data)
-}
-
-func writeRouterError(w http.ResponseWriter, status int, err error) {
-	writeRouterJSON(w, status, map[string]string{"error": err.Error()})
 }

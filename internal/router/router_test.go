@@ -378,6 +378,42 @@ func TestRouterInflightCap(t *testing.T) {
 	}
 }
 
+// TestRouterForwardsAnswerHeaders: an overloaded answer reaches the client
+// with its Retry-After back-off hint and its X-Request-ID, whether a backend
+// gave it or the local fallback did.
+func TestRouterForwardsAnswerHeaders(t *testing.T) {
+	overloaded := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		w.Header().Set("X-Request-ID", "answer-id")
+		http.Error(w, `{"error":"overloaded"}`, http.StatusServiceUnavailable)
+	})
+	backend := httptest.NewServer(overloaded)
+	t.Cleanup(backend.Close)
+	proxied := httptest.NewServer(New(Options{Backends: []string{backend.URL}}))
+	t.Cleanup(proxied.Close)
+
+	dead := newStubBackend(t)
+	dead.setAbort(true)
+	_, fallback := newTestRouter(t, Options{Fallback: overloaded}, dead)
+
+	for name, url := range map[string]string{"proxied": proxied.URL, "fallback": fallback.URL} {
+		resp, err := http.Post(url+"/v1/run", "application/json", strings.NewReader(runBody(0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s: status %d, want the answer's 503", name, resp.StatusCode)
+		}
+		if got := resp.Header.Get("Retry-After"); got != "7" {
+			t.Errorf("%s: Retry-After %q, want the answer's \"7\"", name, got)
+		}
+		if got := resp.Header.Get("X-Request-ID"); got != "answer-id" {
+			t.Errorf("%s: X-Request-ID %q, want the answer's \"answer-id\"", name, got)
+		}
+	}
+}
+
 // TestRouterBatchSplitAndMerge: a batch spanning both backends comes back
 // in order with per-item statuses, and each program is built exactly once
 // fleet-wide.
@@ -487,7 +523,7 @@ func TestRouterStatsAggregation(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var agg struct {
-		Fleet  FleetStats `json:"fleet"`
+		Fleet  FleetStats  `json:"fleet"`
 		Router RouterStats `json:"router"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"uhm/internal/service"
+	"uhm/internal/wire"
 )
 
 // FleetStats is the fleet-wide roll-up of every reachable backend's service
@@ -121,7 +122,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if unhealthy == nil {
 		unhealthy = []string{}
 	}
-	writeRouterJSON(w, http.StatusOK, struct {
+	wire.WriteJSON(w, http.StatusOK, struct {
 		Fleet    FleetStats                 `json:"fleet"`
 		Router   RouterStats                `json:"router"`
 		Backends map[string]json.RawMessage `json:"backends"`

@@ -28,9 +28,9 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 	outs := make([][]int64, len(items))
 	errs := make([]error, len(items))
-	err := svc.Batch(ctx, func(ctx context.Context, b *BatchRunner) error {
+	err := svc.Admit(ctx, func(ctx context.Context, b *Runner) error {
 		for i, it := range items {
-			rep, err := b.RunSource(ctx, it.name, it.src, core.LevelStack, core.WithDTB, cfg)
+			rep, err := b.Run(ctx, sourceReq(it.name, it.src, cfg), core.WithDTB)
 			errs[i] = err
 			if rep != nil {
 				outs[i] = rep.Output
@@ -75,9 +75,9 @@ func TestBatchHoldsOneSlot(t *testing.T) {
 	releaseBatch := make(chan struct{})
 	batchDone := make(chan error, 1)
 	go func() {
-		batchDone <- svc.Batch(ctx, func(ctx context.Context, b *BatchRunner) error {
+		batchDone <- svc.Admit(ctx, func(ctx context.Context, b *Runner) error {
 			for i := 0; i < 4; i++ {
-				if _, err := b.RunWorkload(ctx, "fib", core.LevelStack, core.WithDTB, cfg); err != nil {
+				if _, err := b.Run(ctx, workloadReq("fib", cfg), core.WithDTB); err != nil {
 					return err
 				}
 			}
@@ -92,7 +92,7 @@ func TestBatchHoldsOneSlot(t *testing.T) {
 	// succeed once the batch releases.
 	reqDone := make(chan error, 1)
 	go func() {
-		_, err := svc.RunWorkload(ctx, "sieve", core.LevelStack, core.WithDTB, cfg)
+		_, err := svc.Run(ctx, workloadReq("sieve", cfg), core.WithDTB)
 		reqDone <- err
 	}()
 	select {
@@ -109,7 +109,7 @@ func TestBatchHoldsOneSlot(t *testing.T) {
 	}
 }
 
-// TestBatchReleasesSlotOnPanic: a panic escaping the batch callback still
+// TestBatchReleasesSlotOnPanic: a panic escaping the Admit callback still
 // releases the admission slot (the deferred release is the backstop), so the
 // service keeps serving.
 func TestBatchReleasesSlotOnPanic(t *testing.T) {
@@ -120,16 +120,16 @@ func TestBatchReleasesSlotOnPanic(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("panic did not propagate out of Batch")
+				t.Fatal("panic did not propagate out of Admit")
 			}
 		}()
-		_ = svc.Batch(ctx, func(ctx context.Context, b *BatchRunner) error {
+		_ = svc.Admit(ctx, func(ctx context.Context, b *Runner) error {
 			panic("handler bug in the batch loop")
 		})
 	}()
 
 	// The lone slot must be free again: a plain request is admitted and runs.
-	if _, err := svc.RunWorkload(ctx, "fib", core.LevelStack, core.WithDTB, cfg); err != nil {
+	if _, err := svc.Run(ctx, workloadReq("fib", cfg), core.WithDTB); err != nil {
 		t.Fatalf("service wedged after batch panic: %v", err)
 	}
 	if st := svc.Stats(); st.Requests.Overloads != 0 {
@@ -156,9 +156,9 @@ func TestBatchItemPanicIsolated(t *testing.T) {
 
 	names := []string{"chaos-loop", "chaos-calls", "chaos-array"}
 	errs := make([]error, len(names))
-	err := svc.Batch(ctx, func(ctx context.Context, b *BatchRunner) error {
+	err := svc.Admit(ctx, func(ctx context.Context, b *Runner) error {
 		for i, name := range names {
-			_, errs[i] = b.RunSource(ctx, name, chaosSources[i].src, core.LevelStack, core.WithDTB, cfg)
+			_, errs[i] = b.Run(ctx, sourceReq(name, chaosSources[i].src, cfg), core.WithDTB)
 		}
 		return nil
 	})

@@ -86,6 +86,10 @@ type chaosProgram struct {
 	footprint int64
 }
 
+func (p chaosProgram) request(cfg sim.Config) *Request {
+	return &Request{Name: p.name, Source: p.src, Level: p.level, Config: cfg}
+}
+
 // chaosProgams builds the reference set once per sweep: the oracle outputs
 // the correctness invariant compares against, and the steady-state footprint
 // the byte budget is derived from.
@@ -279,12 +283,12 @@ func runChaosPlan(ctx context.Context, seed int64, progs []chaosProgram,
 					requests++
 					mu.Unlock()
 					if rng.Intn(8) == 0 {
-						reports, err := svc.CompareSource(ctx, p.name, p.src, p.level, cfg)
+						reports, err := svc.Compare(ctx, p.request(cfg))
 						checkChaosResponse(violate, p, firstOutput(reports), err)
 						return
 					}
 					strategy := strategies[rng.Intn(len(strategies))]
-					rep, err := svc.RunSource(ctx, p.name, p.src, p.level, strategy, cfg)
+					rep, err := svc.Run(ctx, p.request(cfg), strategy)
 					var out []int64
 					if rep != nil {
 						out = rep.Output
@@ -335,7 +339,7 @@ func runChaosPlan(ctx context.Context, seed int64, progs []chaosProgram,
 	// singleflight must not have cached an injected failure — unless a panic
 	// rule quarantined it, in which case the refusal must be the typed one.
 	for _, p := range progs {
-		rep, err := svc.RunSource(ctx, p.name, p.src, p.level, core.WithDTB, core.DefaultConfig())
+		rep, err := svc.Run(ctx, p.request(core.DefaultConfig()), core.WithDTB)
 		var qe *QuarantineError
 		switch {
 		case err == nil && slices.Equal(rep.Output, p.want):

@@ -23,14 +23,22 @@
 //     parallelism bounded like core.Engine, plus a registry-backed
 //     core.Engine so the named experiments share the same artifact cache.
 //
+// Every run and compare takes one path.  A Request names the program (a
+// built-in workload or submitted source), its level and its config;
+// Resolve finds or builds its artifact; a Runner runs or compares it on
+// pooled replayers.  Runners exist only inside Admit, which holds one
+// request slot for however many requests its callback serves — a uhmd
+// batch is one Admit, a single request a batch of one — and Run and
+// Compare wrap Admit for one-shot callers.
+//
 // The layer is hardened against partial failure: admission waiting is
 // bounded by a queue timeout (typed *OverloadError with a Retry-After
 // hint), run-path panics are recovered at the service boundary (typed
 // *PanicError) and quarantine the offending artifact as a poison pill
 // (typed *QuarantineError on retry), failed builds are reported to every
-// singleflight waiter without being cached, and a derive-decline storm
-// trips a degradation ladder that sheds derivation in favour of plain
-// replays.  ChaosSweep replays seeded internal/faultinject plans against
+// singleflight waiter without being cached, and a declined trace
+// derivation falls back to an identical full replay (counted, never an
+// error).  ChaosSweep replays seeded internal/faultinject plans against
 // concurrent workloads and asserts the robustness invariants; Registry and
 // Pool expose VerifyAccounting for byte- and lease-exactness checks.
 //

@@ -44,7 +44,7 @@ func TestWriteThroughAndDiskReadThrough(t *testing.T) {
 	cfg := core.DefaultConfig()
 
 	svc1, _ := newStoreService(t, dir)
-	rep1, err := svc1.RunSource(ctx, "persisted", persistSrc, core.LevelStack, core.WithDTB, cfg)
+	rep1, err := svc1.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestWriteThroughAndDiskReadThrough(t *testing.T) {
 
 	// "Restart": a fresh service over the same store directory.
 	svc2, _ := newStoreService(t, dir)
-	rep2, err := svc2.RunSource(ctx, "persisted", persistSrc, core.LevelStack, core.WithDTB, cfg)
+	rep2, err := svc2.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +88,7 @@ func TestEnrichmentRePersists(t *testing.T) {
 	ctx := context.Background()
 	svc, st := newStoreService(t, dir)
 
-	art, err := svc.ArtifactSource("persisted", persistSrc, core.LevelStack)
-	if err != nil {
+	if _, err := svc.Resolve(sourceReq("persisted", persistSrc, core.DefaultConfig())); err != nil {
 		t.Fatal(err)
 	}
 	_, baseBytes := st.Usage()
@@ -97,11 +96,11 @@ func TestEnrichmentRePersists(t *testing.T) {
 	// Running records the trace and predecodes the default degree; a second
 	// config adds another degree.  Each Sync may re-persist.
 	cfg := core.DefaultConfig()
-	if _, err := svc.RunArtifact(ctx, art, core.WithDTB, cfg); err != nil {
+	if _, err := svc.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Degree = core.DegreePacked
-	if _, err := svc.RunArtifact(ctx, art, core.Conventional, cfg); err != nil {
+	if _, err := svc.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.Conventional); err != nil {
 		t.Fatal(err)
 	}
 	entries, grownBytes := st.Usage()
@@ -115,7 +114,7 @@ func TestEnrichmentRePersists(t *testing.T) {
 	// The restarted process must see the enriched forms: running derives from
 	// the persisted trace without recording (PersistableForms counts it).
 	svc2, _ := newStoreService(t, dir)
-	art2, err := svc2.ArtifactSource("persisted", persistSrc, core.LevelStack)
+	art2, err := svc2.Resolve(sourceReq("persisted", persistSrc, core.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +136,7 @@ func TestCorruptContainerDegradesToRebuild(t *testing.T) {
 	cfg := core.DefaultConfig()
 
 	svc1, _ := newStoreService(t, dir)
-	rep1, err := svc1.RunSource(ctx, "persisted", persistSrc, core.LevelStack, core.WithDTB, cfg)
+	rep1, err := svc1.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestCorruptContainerDegradesToRebuild(t *testing.T) {
 	}
 
 	svc2, st2 := newStoreService(t, dir)
-	rep2, err := svc2.RunSource(ctx, "persisted", persistSrc, core.LevelStack, core.WithDTB, cfg)
+	rep2, err := svc2.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
 	if err != nil {
 		t.Fatalf("request over corrupt container failed: %v", err)
 	}
@@ -189,7 +188,7 @@ func TestCorruptContainerDegradesToRebuild(t *testing.T) {
 func TestQuarantineDeletesContainer(t *testing.T) {
 	dir := t.TempDir()
 	svc, st := newStoreService(t, dir)
-	if _, err := svc.ArtifactSource("persisted", persistSrc, core.LevelStack); err != nil {
+	if _, err := svc.Resolve(sourceReq("persisted", persistSrc, core.DefaultConfig())); err != nil {
 		t.Fatal(err)
 	}
 	if entries, _ := st.Usage(); entries != 1 {
@@ -222,7 +221,7 @@ func TestWarmstart(t *testing.T) {
 	}
 	var want [][]int64
 	for _, s := range sources {
-		rep, err := svc1.RunSource(ctx, s.name, s.src, core.LevelStack, core.WithDTB, cfg)
+		rep, err := svc1.Run(ctx, sourceReq(s.name, s.src, cfg), core.WithDTB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +241,7 @@ func TestWarmstart(t *testing.T) {
 		t.Fatalf("stats after warm start = %+v", st)
 	}
 	for i, s := range sources {
-		rep, err := svc2.RunSource(ctx, s.name, s.src, core.LevelStack, core.WithDTB, cfg)
+		rep, err := svc2.Run(ctx, sourceReq(s.name, s.src, cfg), core.WithDTB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +268,7 @@ func TestWarmstart(t *testing.T) {
 // activity and the memory-only behaviour is untouched.
 func TestStorelessServiceUnchanged(t *testing.T) {
 	svc := New(Options{})
-	if _, err := svc.ArtifactSource("persisted", persistSrc, core.LevelStack); err != nil {
+	if _, err := svc.Resolve(sourceReq("persisted", persistSrc, core.DefaultConfig())); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Registry().Stats()

@@ -30,12 +30,6 @@ type Options struct {
 	// *OverloadError instead of blocking unboundedly.  Zero waits as long as
 	// the request context allows (the pre-timeout behaviour).
 	QueueTimeout time.Duration
-	// ShedAfterDeclines is the degradation-ladder threshold: after this many
-	// consecutive trace-derivation declines (an ErrNoTrace storm), requests
-	// skip the derive attempt and go straight to plain Replay, probing
-	// periodically to recover.  Zero selects the default (8); negative
-	// disables shedding.
-	ShedAfterDeclines int
 	// Store, if set, attaches a content-addressed disk tier behind the
 	// registry's in-memory LRU: misses read through it, builds write through
 	// to it, and Warmstart preloads from it.  Nil runs memory-only (the
@@ -61,9 +55,6 @@ type RequestStats struct {
 	// DeriveFallbacks counts requests whose trace derivation declined and
 	// fell back to a full replay.
 	DeriveFallbacks int64
-	// Shed counts requests that skipped the derive attempt entirely because
-	// the degradation ladder had tripped.
-	Shed int64
 }
 
 // Service is the façade over the registry and the pool: one instance serves
@@ -76,22 +67,16 @@ type Service struct {
 	workers      int
 	slots        chan struct{}
 	queueTimeout time.Duration
-	shedAfter    int64
 	// exclusiveMu serializes AdmitExclusive callers so two multi-slot
 	// acquirers cannot interleave partial acquisitions and deadlock.
 	exclusiveMu sync.Mutex
-
-	// declineStreak counts consecutive requests whose trace derivation fell
-	// back to full replay; past shedAfter the ladder trips and requests shed
-	// the derive attempt.  probe counts shed-mode requests so every 16th one
-	// still tries to derive, recovering the fast path when the storm ends.
-	declineStreak atomic.Int64
-	probe         atomic.Int64
+	// runner is the one Runner every Admit callback receives; sharing it
+	// keeps admission allocation-free.
+	runner Runner
 
 	overloads       atomic.Int64
 	panics          atomic.Int64
 	deriveFallbacks atomic.Int64
-	shed            atomic.Int64
 }
 
 // New constructs a Service and wires the registry's eviction callback to the
@@ -102,18 +87,14 @@ func New(opts Options) *Service {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	shedAfter := int64(opts.ShedAfterDeclines)
-	if shedAfter == 0 {
-		shedAfter = 8
-	}
 	s := &Service{
 		registry:     NewRegistry(opts.CapacityBytes),
 		pool:         NewPool(opts.MaxIdlePerKey),
 		workers:      workers,
 		slots:        make(chan struct{}, workers),
 		queueTimeout: opts.QueueTimeout,
-		shedAfter:    shedAfter,
 	}
+	s.runner.s = s
 	if opts.Store != nil {
 		s.registry.SetStore(opts.Store)
 	}
@@ -149,7 +130,6 @@ func (s *Service) Stats() Stats {
 			Overloads:       s.overloads.Load(),
 			Panics:          s.panics.Load(),
 			DeriveFallbacks: s.deriveFallbacks.Load(),
-			Shed:            s.shed.Load(),
 		},
 	}
 }
@@ -247,25 +227,113 @@ func (s *Service) QuarantineSource(src string, level core.Level) bool {
 	return s.registry.Quarantine(KeyOf(src, level))
 }
 
-// ArtifactSource returns the (possibly cached) artifact for source text.
-func (s *Service) ArtifactSource(name, src string, level core.Level) (*core.Artifact, error) {
-	return s.registry.Source(name, src, level)
+// Request names one program and the point of the simulation space to run it
+// at: a built-in Workload, or submitted Source labelled by Name, built at
+// Level and simulated under Config.
+type Request struct {
+	Name     string
+	Workload string // built-in, when non-empty
+	Source   string // submitted text, otherwise
+	Level    core.Level
+	Config   sim.Config
 }
 
-// ArtifactWorkload returns the (possibly cached) artifact for a built-in
-// workload.
-func (s *Service) ArtifactWorkload(name string, level core.Level) (*core.Artifact, error) {
-	return s.registry.Workload(name, level)
+// Resolve returns the (possibly cached) artifact the request names: the
+// built-in workload, or the content-addressed build of its source.
+func (s *Service) Resolve(req *Request) (*core.Artifact, error) {
+	if req.Workload != "" {
+		return s.registry.Workload(req.Workload, req.Level)
+	}
+	return s.registry.Source(req.Name, req.Source, req.Level)
 }
 
-// RunArtifact simulates the artifact under one organisation on a pooled
-// replayer.  The returned report is the caller's own copy.
-func (s *Service) RunArtifact(ctx context.Context, art *core.Artifact, strategy sim.Strategy, cfg sim.Config) (*sim.Report, error) {
+// Admit runs fn holding one request slot and hands it the Runner that runs
+// and compares under that slot.  However many requests fn serves, they cost
+// one slot acquisition and one release: a uhmd batch is one Admit, a single
+// request is a batch of one.  A call occupies its slot for its whole
+// duration, so the -workers bound caps total simulation concurrency, and
+// admission sheds with a typed *OverloadError when no slot frees within the
+// queue timeout.
+//
+// The slot is released by defer, so it cannot leak even if fn panics; each
+// run keeps its own panic isolation (runPooled recovers into a typed
+// *PanicError and quarantines the artifact), so one poisoned request fails
+// itself without failing its siblings.
+func (s *Service) Admit(ctx context.Context, fn func(ctx context.Context, r *Runner) error) error {
 	if err := s.acquire(ctx); err != nil {
-		return nil, err
+		return err
 	}
 	defer s.release()
-	return s.runPooled(art, strategy, cfg)
+	return fn(ctx, &s.runner)
+}
+
+// Run admits one request and runs it under one organisation.  The returned
+// report is the caller's own copy.
+func (s *Service) Run(ctx context.Context, req *Request, strategy sim.Strategy) (rep *sim.Report, err error) {
+	err = s.Admit(ctx, func(ctx context.Context, r *Runner) error {
+		rep, err = r.Run(ctx, req, strategy)
+		return err
+	})
+	return rep, err
+}
+
+// Compare admits one request and compares every organisation on it; see
+// Runner.Compare.
+func (s *Service) Compare(ctx context.Context, req *Request) (reports []*sim.Report, err error) {
+	err = s.Admit(ctx, func(ctx context.Context, r *Runner) error {
+		reports, err = r.Compare(ctx, req)
+		return err
+	})
+	return reports, err
+}
+
+// Runner runs and compares requests under a slot Admit already holds.  It is
+// valid only inside the Admit callback that received it: using one outside
+// would bypass admission.
+type Runner struct {
+	s *Service
+}
+
+// Run resolves the request and simulates it under one organisation on a
+// pooled replayer.  The returned report is the caller's own copy.
+func (r *Runner) Run(ctx context.Context, req *Request, strategy sim.Strategy) (*sim.Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	art, err := r.s.Resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	return r.s.runPooled(art, strategy, req.Config)
+}
+
+// Compare resolves the request, runs every organisation on pooled replayers
+// and verifies the paper's equivalence invariant.  Reports come back in
+// core.Strategies() order; on divergence they are returned alongside the
+// error so the caller can render a diff.
+func (r *Runner) Compare(ctx context.Context, req *Request) ([]*sim.Report, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	art, err := r.s.Resolve(req)
+	if err != nil {
+		return nil, err
+	}
+	var reports []*sim.Report
+	for _, strategy := range core.Strategies() {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rep, err := r.s.runPooled(art, strategy, req.Config)
+		if err != nil {
+			return nil, fmt.Errorf("%v: %w", strategy, err)
+		}
+		reports = append(reports, rep)
+	}
+	if err := sim.VerifyOutputs(reports); err != nil {
+		return reports, err
+	}
+	return reports, nil
 }
 
 // runPooled is the request hot path: predecode (cached on the artifact),
@@ -304,7 +372,9 @@ func (s *Service) runPooled(art *core.Artifact, strategy sim.Strategy, cfg sim.C
 	// paths it is a no-op, and on a panic it is the backstop that keeps the
 	// lease accounting exact.
 	defer lease.Discard()
-	out, err := s.replayLease(lease)
+	// ReplayDerived answers from the trace, or by full replay when the trace
+	// declines; the two reports are identical, so a decline costs only speed.
+	out, err := lease.R.ReplayDerived()
 	if err != nil {
 		// A failed replay leaves the replayer's structures in a defined but
 		// partially-run state; Replay resets everything up front, so reuse
@@ -312,36 +382,13 @@ func (s *Service) runPooled(art *core.Artifact, strategy sim.Strategy, cfg sim.C
 		s.checkin(art, lease)
 		return nil, err
 	}
+	if !out.Derived {
+		s.deriveFallbacks.Add(1)
+	}
 	out = out.Clone()
 	s.checkin(art, lease)
 	s.registry.Sync(art)
 	return out, nil
-}
-
-// replayLease runs one checked-out replayer through the degradation ladder.
-// Healthy steady state attempts the trace derivation (falling back to full
-// replay when the trace cannot answer); under an ErrNoTrace storm —
-// shedAfter consecutive fallbacks — it sheds the derive attempt entirely and
-// replays directly, probing every 16th request so the fast path recovers as
-// soon as derivations succeed again.  Replay and ReplayDerived answer
-// identical reports, so shedding trades only derivation speed, never
-// correctness or availability.
-func (s *Service) replayLease(lease *Lease) (*sim.Report, error) {
-	if s.shedAfter > 0 && s.declineStreak.Load() >= s.shedAfter && s.probe.Add(1)%16 != 0 {
-		s.shed.Add(1)
-		return lease.R.Replay()
-	}
-	rep, err := lease.R.ReplayDerived()
-	if err != nil {
-		return nil, err
-	}
-	if rep.Derived {
-		s.declineStreak.Store(0)
-	} else {
-		s.declineStreak.Add(1)
-		s.deriveFallbacks.Add(1)
-	}
-	return rep, nil
 }
 
 // checkin returns a lease, repooling only when the artifact is still
@@ -365,91 +412,6 @@ func (s *Service) checkin(art *core.Artifact, lease *Lease) {
 	} else {
 		lease.Discard()
 	}
-}
-
-// RunSource builds (or finds) the artifact for the source text and runs it.
-func (s *Service) RunSource(ctx context.Context, name, src string, level core.Level, strategy sim.Strategy, cfg sim.Config) (*sim.Report, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	art, err := s.registry.Source(name, src, level)
-	if err != nil {
-		return nil, err
-	}
-	return s.runPooled(art, strategy, cfg)
-}
-
-// RunWorkload builds (or finds) a built-in workload's artifact and runs it.
-func (s *Service) RunWorkload(ctx context.Context, name string, level core.Level, strategy sim.Strategy, cfg sim.Config) (*sim.Report, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	art, err := s.registry.Workload(name, level)
-	if err != nil {
-		return nil, err
-	}
-	return s.runPooled(art, strategy, cfg)
-}
-
-// CompareArtifact runs every organisation on pooled replayers and verifies
-// the paper's equivalence invariant.  Reports come back in core.Strategies()
-// order; on divergence they are returned alongside the error so the caller
-// can render a diff.
-func (s *Service) CompareArtifact(ctx context.Context, art *core.Artifact, cfg sim.Config) ([]*sim.Report, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	return s.comparePooled(ctx, art, cfg)
-}
-
-// comparePooled runs all strategies under an already-held request slot.
-func (s *Service) comparePooled(ctx context.Context, art *core.Artifact, cfg sim.Config) ([]*sim.Report, error) {
-	var reports []*sim.Report
-	for _, strategy := range core.Strategies() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rep, err := s.runPooled(art, strategy, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%v: %w", strategy, err)
-		}
-		reports = append(reports, rep)
-	}
-	if err := sim.VerifyOutputs(reports); err != nil {
-		return reports, err
-	}
-	return reports, nil
-}
-
-// CompareSource builds (or finds) the artifact for the source text and
-// compares every organisation on it.
-func (s *Service) CompareSource(ctx context.Context, name, src string, level core.Level, cfg sim.Config) ([]*sim.Report, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	art, err := s.registry.Source(name, src, level)
-	if err != nil {
-		return nil, err
-	}
-	return s.comparePooled(ctx, art, cfg)
-}
-
-// CompareWorkload builds (or finds) a built-in workload's artifact and
-// compares every organisation on it.
-func (s *Service) CompareWorkload(ctx context.Context, name string, level core.Level, cfg sim.Config) ([]*sim.Report, error) {
-	if err := s.acquire(ctx); err != nil {
-		return nil, err
-	}
-	defer s.release()
-	art, err := s.registry.Workload(name, level)
-	if err != nil {
-		return nil, err
-	}
-	return s.comparePooled(ctx, art, cfg)
 }
 
 // Conformance runs the full differential cross-product on one source

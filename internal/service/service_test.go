@@ -18,6 +18,16 @@ func testConfig() sim.Config {
 	return cfg
 }
 
+// workloadReq and sourceReq build stack-level requests for a built-in
+// workload and for submitted source.
+func workloadReq(name string, cfg sim.Config) *Request {
+	return &Request{Name: name, Workload: name, Level: core.LevelStack, Config: cfg}
+}
+
+func sourceReq(name, src string, cfg sim.Config) *Request {
+	return &Request{Name: name, Source: src, Level: core.LevelStack, Config: cfg}
+}
+
 // TestRegistrySingleflight pins the one-build-per-content-address guarantee:
 // any number of concurrent requests for the same program block on a single
 // build and share the resulting artifact.
@@ -361,7 +371,7 @@ func TestWarmedRequestNoRebuild(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig()
 
-	first, err := svc.RunWorkload(ctx, "sieve", core.LevelStack, sim.WithDTB, cfg)
+	first, err := svc.Run(ctx, workloadReq("sieve", cfg), sim.WithDTB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +380,7 @@ func TestWarmedRequestNoRebuild(t *testing.T) {
 		t.Fatalf("cold stats = %+v, want 1 build, 1 pool miss", st)
 	}
 
-	second, err := svc.RunWorkload(ctx, "sieve", core.LevelStack, sim.WithDTB, cfg)
+	second, err := svc.Run(ctx, workloadReq("sieve", cfg), sim.WithDTB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +447,7 @@ func TestPooledReplayZeroAllocs(t *testing.T) {
 func TestServiceCompareAgreement(t *testing.T) {
 	svc := New(Options{})
 	cfg := testConfig()
-	reports, err := svc.CompareWorkload(context.Background(), "fib", core.LevelStack, cfg)
+	reports, err := svc.Compare(context.Background(), workloadReq("fib", cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +493,7 @@ func TestAdmitExclusiveHoldsAllSlots(t *testing.T) {
 	<-inside
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := svc.RunWorkload(ctx, "fib", core.LevelStack, sim.WithDTB, testConfig()); err == nil {
+	if _, err := svc.Run(ctx, workloadReq("fib", testConfig()), sim.WithDTB); err == nil {
 		t.Fatal("plain request admitted while an exclusive admission held every slot")
 	}
 	close(release)
@@ -491,7 +501,7 @@ func TestAdmitExclusiveHoldsAllSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Slots are returned: a plain request is admitted again.
-	if _, err := svc.RunWorkload(context.Background(), "fib", core.LevelStack, sim.WithDTB, testConfig()); err != nil {
+	if _, err := svc.Run(context.Background(), workloadReq("fib", testConfig()), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -522,7 +532,7 @@ func TestServiceContextCancellation(t *testing.T) {
 	svc := New(Options{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := svc.RunWorkload(ctx, "fib", core.LevelStack, sim.WithDTB, testConfig()); err == nil {
+	if _, err := svc.Run(ctx, workloadReq("fib", testConfig()), sim.WithDTB); err == nil {
 		t.Fatal("want a context error")
 	}
 }
@@ -565,13 +575,13 @@ func TestStaleArtifactCheckinDiscards(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig()
 
-	stale, err := svc.ArtifactWorkload("loopsum", core.LevelStack)
+	stale, err := svc.Resolve(workloadReq("loopsum", testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A different program over the 1-byte budget evicts loopsum while no
 	// lease on it exists.
-	if _, err := svc.RunWorkload(ctx, "fib", core.LevelStack, sim.WithDTB, cfg); err != nil {
+	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
 	if svc.Registry().Live(stale) {
@@ -581,7 +591,7 @@ func TestStaleArtifactCheckinDiscards(t *testing.T) {
 
 	// Running on the stale reference still works (correctness must not
 	// depend on cache residency) ...
-	rep, err := svc.RunArtifact(ctx, stale, sim.WithDTB, cfg)
+	rep, err := svc.runPooled(stale, sim.WithDTB, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -606,7 +616,7 @@ func TestServiceEvictionRetiresPooledReplayers(t *testing.T) {
 	svc := New(Options{CapacityBytes: 1})
 	ctx := context.Background()
 	cfg := testConfig()
-	if _, err := svc.RunWorkload(ctx, "loopsum", core.LevelStack, sim.WithDTB, cfg); err != nil {
+	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
 	if st := svc.Stats(); st.Pool.Idle != 1 {
@@ -614,7 +624,7 @@ func TestServiceEvictionRetiresPooledReplayers(t *testing.T) {
 	}
 	// A different program over the 1-byte budget evicts loopsum, which must
 	// drop its pooled replayer.
-	if _, err := svc.RunWorkload(ctx, "fib", core.LevelStack, sim.WithDTB, cfg); err != nil {
+	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
@@ -634,7 +644,7 @@ func TestServiceRequestsAreDerived(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig()
 	for _, strategy := range core.Strategies() {
-		rep, err := svc.RunWorkload(ctx, "fib", core.LevelStack, strategy, cfg)
+		rep, err := svc.Run(ctx, workloadReq("fib", cfg), strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -652,7 +662,7 @@ func TestRegistryAccountsTraceFootprint(t *testing.T) {
 	ctx := context.Background()
 	cfg := testConfig()
 
-	art, err := svc.ArtifactWorkload("loopsum", core.LevelStack)
+	art, err := svc.Resolve(workloadReq("loopsum", testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,7 +670,7 @@ func TestRegistryAccountsTraceFootprint(t *testing.T) {
 
 	// The first derived request records the trace (and builds the compiled
 	// backend it runs on); Sync folds both into the accounting.
-	if _, err := svc.RunArtifact(ctx, art, sim.Conventional, cfg); err != nil {
+	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.Conventional); err != nil {
 		t.Fatal(err)
 	}
 	after := svc.Registry().Stats().Bytes
@@ -694,10 +704,10 @@ func TestTraceDiesWithEvictedArtifact(t *testing.T) {
 	cfg := testConfig()
 
 	// Cold request: builds loopsum, records its trace, serves derived.
-	if _, err := svc.RunWorkload(ctx, "loopsum", core.LevelStack, sim.WithDTB, cfg); err != nil {
+	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
-	art, err := svc.ArtifactWorkload("loopsum", core.LevelStack)
+	art, err := svc.Resolve(workloadReq("loopsum", testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,7 +726,7 @@ func TestTraceDiesWithEvictedArtifact(t *testing.T) {
 
 	// A different program over the 1-byte budget evicts loopsum; its bytes —
 	// trace included — leave the budget in one piece.
-	if _, err := svc.RunWorkload(ctx, "fib", core.LevelStack, sim.WithDTB, cfg); err != nil {
+	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
 	if svc.Registry().Live(art) {
@@ -729,7 +739,7 @@ func TestTraceDiesWithEvictedArtifact(t *testing.T) {
 	}
 	// A fresh request for loopsum rebuilds and re-records from scratch: the
 	// evicted trace is gone, not resurrected from a side cache.
-	art2, err := svc.ArtifactWorkload("loopsum", core.LevelStack)
+	art2, err := svc.Resolve(workloadReq("loopsum", testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -741,7 +751,7 @@ func TestTraceDiesWithEvictedArtifact(t *testing.T) {
 // foot returns the accounted footprint of one resident workload artifact.
 func foot(t *testing.T, svc *Service, name string, cfg sim.Config) int64 {
 	t.Helper()
-	a, err := svc.ArtifactWorkload(name, core.LevelStack)
+	a, err := svc.Resolve(workloadReq(name, testConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

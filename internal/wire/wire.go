@@ -1,19 +1,25 @@
-package main
+package wire
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"strconv"
+	"sync"
+
 	"uhm/internal/core"
 	"uhm/internal/sim"
 )
 
-// The wire types of the uhmd JSON API.  Enumerations travel as their String()
-// names (the same names the CLI flags use), reports as a flat summary of
-// sim.Report.
+// Enumerations travel as their String() names (the same names the CLI flags
+// use), reports as a flat summary of sim.Report.
 
-// runRequest selects a program and a point of the simulation space.  Exactly
+// RunRequest selects a program and a point of the simulation space.  Exactly
 // one of Workload (a built-in) or Source (submitted MiniLang text) must be
 // set.  Level, Degree and Strategy default like the uhmrun flags: stack,
 // huffman, dtb.
-type runRequest struct {
+type RunRequest struct {
 	Workload string `json:"workload,omitempty"`
 	Source   string `json:"source,omitempty"`
 	// Name labels submitted source in reports and logs (default "submitted").
@@ -25,8 +31,8 @@ type runRequest struct {
 	MaxInstructions int64 `json:"max_instructions,omitempty"`
 }
 
-// reportJSON is the wire form of one simulation report.
-type reportJSON struct {
+// Report is the wire form of one simulation report.
+type Report struct {
 	Program         string  `json:"program"`
 	Level           string  `json:"level"`
 	Strategy        string  `json:"strategy"`
@@ -54,8 +60,9 @@ type reportJSON struct {
 	Derived bool `json:"derived"`
 }
 
-func reportToJSON(program string, level core.Level, rep *sim.Report) reportJSON {
-	return reportJSON{
+// NewReport renders one report of the named program at the given level.
+func NewReport(program string, level core.Level, rep *sim.Report) Report {
+	return Report{
 		Program:         program,
 		Level:           level.String(),
 		Strategy:        rep.Strategy.String(),
@@ -78,90 +85,93 @@ func reportToJSON(program string, level core.Level, rep *sim.Report) reportJSON 
 	}
 }
 
-// runResponse wraps a single report.
-type runResponse struct {
-	Report reportJSON `json:"report"`
+// RunResponse wraps a single report.
+type RunResponse struct {
+	Report Report `json:"report"`
 }
 
-// compareResponse carries every organisation's report plus the equivalence
+// CompareResponse carries every organisation's report plus the equivalence
 // verdict.  On divergence Agree is false and Error names the mismatch; the
 // reports are still included so the client can diff them.
-type compareResponse struct {
-	Output  []int64      `json:"output"`
-	Agree   bool         `json:"agree"`
-	Error   string       `json:"error,omitempty"`
-	Reports []reportJSON `json:"reports"`
+type CompareResponse struct {
+	Output  []int64  `json:"output"`
+	Agree   bool     `json:"agree"`
+	Error   string   `json:"error,omitempty"`
+	Reports []Report `json:"reports"`
 }
 
-// batchRequest carries many runs in one envelope: one decode, one admission
+// BatchRequest carries many runs in one envelope: one decode, one admission
 // slot, one response write for the whole batch.  Items are ordinary
-// runRequests; for /batch/compare the per-item strategy must be empty, as on
+// RunRequests; for /batch/compare the per-item strategy must be empty, as on
 // /v1/compare.
-type batchRequest struct {
-	Items []runRequest `json:"items"`
+type BatchRequest struct {
+	Items []RunRequest `json:"items"`
 }
 
-// batchRunItem is one item's outcome in a /batch/run response.  Status is the
+// BatchRunItem is one item's outcome in a /batch/run response.  Status is the
 // HTTP status the item would have received as a standalone /v1/run request;
 // exactly one of Report (200) or Error (anything else) is set.  One bad item
 // fails itself, never its siblings or the envelope.
-type batchRunItem struct {
-	Status int         `json:"status"`
-	Report *reportJSON `json:"report,omitempty"`
-	Error  string      `json:"error,omitempty"`
+type BatchRunItem struct {
+	Status int     `json:"status"`
+	Report *Report `json:"report,omitempty"`
+	Error  string  `json:"error,omitempty"`
 }
 
-// batchRunResponse answers /batch/run: per-item outcomes in request order,
+// BatchRunResponse answers /batch/run: per-item outcomes in request order,
 // plus the failed count so clients need not rescan.
-type batchRunResponse struct {
-	Items  []batchRunItem `json:"items"`
+type BatchRunResponse struct {
+	Items  []BatchRunItem `json:"items"`
 	Failed int            `json:"failed"`
 }
 
-// batchCompareItem is one item's outcome in a /batch/compare response: a
-// standalone compareResponse tagged with the item's HTTP status.
-type batchCompareItem struct {
-	Status  int          `json:"status"`
-	Output  []int64      `json:"output,omitempty"`
-	Agree   bool         `json:"agree"`
-	Error   string       `json:"error,omitempty"`
-	Reports []reportJSON `json:"reports,omitempty"`
+// BatchCompareItem is one item's outcome in a /batch/compare response: a
+// standalone CompareResponse tagged with the item's HTTP status.
+type BatchCompareItem struct {
+	Status  int      `json:"status"`
+	Output  []int64  `json:"output,omitempty"`
+	Agree   bool     `json:"agree"`
+	Error   string   `json:"error,omitempty"`
+	Reports []Report `json:"reports,omitempty"`
 }
 
-// batchCompareResponse answers /batch/compare.
-type batchCompareResponse struct {
-	Items  []batchCompareItem `json:"items"`
+// BatchCompareResponse answers /batch/compare.
+type BatchCompareResponse struct {
+	Items  []BatchCompareItem `json:"items"`
 	Failed int                `json:"failed"`
 }
 
-// conformanceRequest checks one program against the full differential
+// ConformanceRequest checks one program against the full differential
 // cross-product: either submitted Source, or a Seed for the built-in
 // generator (the pinned regression seeds, say).
-type conformanceRequest struct {
+type ConformanceRequest struct {
 	Name   string `json:"name,omitempty"`
 	Source string `json:"source,omitempty"`
 	Seed   *int64 `json:"seed,omitempty"`
 }
 
-type conformanceResponse struct {
+// ConformanceResponse answers /v1/conformance: the divergences found, if any.
+type ConformanceResponse struct {
 	Name        string   `json:"name"`
 	Conforms    bool     `json:"conforms"`
 	Divergences []string `json:"divergences,omitempty"`
 }
 
-// experimentRequest names one of uhmbench's experiments; Workload optionally
+// ExperimentRequest names one of uhmbench's experiments; Workload optionally
 // overrides the default workload set of the figure experiments.
-type experimentRequest struct {
+type ExperimentRequest struct {
 	Name     string `json:"name"`
 	Workload string `json:"workload,omitempty"`
 }
 
-type experimentResponse struct {
+// ExperimentResponse carries one experiment's rendered text.
+type ExperimentResponse struct {
 	Name string `json:"name"`
 	Text string `json:"text"`
 }
 
-type errorResponse struct {
+// ErrorResponse is the JSON body of a failed request.
+type ErrorResponse struct {
 	Error string `json:"error"`
 	// RequestID echoes the request's X-Request-ID (or the server-generated
 	// one) so a failed call can be correlated with its access log line.
@@ -171,23 +181,70 @@ type errorResponse struct {
 // Request-field parsers: an omitted field selects the same default the
 // uhmrun flags do; everything else resolves through core's shared parsers.
 
-func parseLevel(name string) (core.Level, error) {
+func ParseLevel(name string) (core.Level, error) {
 	if name == "" {
 		return core.LevelStack, nil
 	}
 	return core.ParseLevel(name)
 }
 
-func parseDegree(name string) (core.Degree, error) {
+func ParseDegree(name string) (core.Degree, error) {
 	if name == "" {
 		return core.DefaultConfig().Degree, nil
 	}
 	return core.ParseDegree(name)
 }
 
-func parseStrategy(name string) (core.Strategy, error) {
+func ParseStrategy(name string) (core.Strategy, error) {
 	if name == "" {
 		return core.WithDTB, nil
 	}
 	return core.ParseStrategy(name)
+}
+
+// jsonBuf pairs a response buffer with a json.Encoder bound to it, so the
+// warm path reuses both instead of allocating an encoder (and growing a fresh
+// buffer) per response.  Encoding into the buffer first also yields an exact
+// Content-Length, sparing the chunked-transfer framing on every response.
+type jsonBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonBufPool = sync.Pool{New: func() any {
+	jb := &jsonBuf{}
+	jb.enc = json.NewEncoder(&jb.buf)
+	jb.enc.SetIndent("", "  ")
+	return jb
+}}
+
+// jsonBufMaxRecycle caps the buffer capacity worth keeping: a huge batch
+// response should not pin its peak allocation in the pool forever.
+const jsonBufMaxRecycle = 1 << 20
+
+// WriteJSON answers v as indented JSON with an exact Content-Length.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	jb := jsonBufPool.Get().(*jsonBuf)
+	jb.buf.Reset()
+	if err := jb.enc.Encode(v); err != nil {
+		// The wire types are plain data; encoding them cannot fail.  Answer
+		// something structured anyway rather than an empty body.
+		jsonBufPool.Put(jb)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusInternalServerError)
+		fmt.Fprintf(w, `{"error":%q}`, "response encoding failed: "+err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(jb.buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(jb.buf.Bytes())
+	if jb.buf.Cap() <= jsonBufMaxRecycle {
+		jsonBufPool.Put(jb)
+	}
+}
+
+// WriteError answers err as an ErrorResponse; a non-empty requestID tags it.
+func WriteError(w http.ResponseWriter, status int, err error, requestID string) {
+	WriteJSON(w, status, ErrorResponse{Error: err.Error(), RequestID: requestID})
 }
