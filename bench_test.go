@@ -15,11 +15,9 @@ import (
 	"uhm/internal/dtb"
 	"uhm/internal/faultinject"
 	"uhm/internal/perfmodel"
-	"uhm/internal/psder"
 	"uhm/internal/service"
 	"uhm/internal/sim"
 	"uhm/internal/store"
-	"uhm/internal/translate"
 	"uhm/internal/workload"
 	"uhm/internal/workload/gen"
 )
@@ -321,50 +319,10 @@ func BenchmarkPredecode(b *testing.B) {
 // benchmarks replay, standing in for a loop-dominated dynamic stream.
 const dispatchRounds = 50
 
-// BenchmarkDispatchMapMemo replicates the engine retired by the predecoded
-// fast path: every dispatched instruction re-decodes the DIR binary (field
-// extraction plus code-tree walks) and consults a freshly allocated per-run
-// map[int]psder.Sequence memo.
-func BenchmarkDispatchMapMemo(b *testing.B) {
-	dp := workload.MustCompileAt("loopsum", compile.LevelStack)
-	bin, err := dir.Encode(dp, dir.DegreeHuffman)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := bin.NumInstrs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		dec := bin.NewDecoder()
-		memo := make(map[int]psder.Sequence)
-		for round := 0; round < dispatchRounds; round++ {
-			for pc := 0; pc < n; pc++ {
-				in, cost, err := dec.Decode(pc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				seq, ok := memo[pc]
-				if !ok {
-					seq, err = translate.Translate(in, pc)
-					if err != nil {
-						b.Fatal(err)
-					}
-					memo[pc] = seq
-				}
-				sink += cost.Steps + seq.Words()
-			}
-		}
-	}
-	if sink == 0 {
-		b.Fatal("no dispatch work performed")
-	}
-}
-
-// BenchmarkDispatchPredecoded is the same dispatch stream over the shared
-// predecoded program: a slice index per instruction, decode and translation
-// paid once per run.  The binary is encoded outside the timer, exactly as
-// the map-memo benchmark does, so the two time only dispatch-path work.
+// BenchmarkDispatchPredecoded measures dispatch over the shared predecoded
+// program: a slice index per instruction, decode and translation paid once
+// per run.  The binary is encoded outside the timer, so only predecode and
+// dispatch-path work is timed.
 func BenchmarkDispatchPredecoded(b *testing.B) {
 	dp := workload.MustCompileAt("loopsum", compile.LevelStack)
 	bin, err := dir.Encode(dp, dir.DegreeHuffman)

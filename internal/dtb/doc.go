@@ -20,4 +20,10 @@
 // translation must fit in one unit of allocation, and VariableOverflow, in
 // which a translation larger than the unit receives additional fixed-size
 // blocks from a secondary overflow area which are linked to the primary unit.
+//
+// The buffer array is modelled by its units, overflow blocks and translation
+// lengths, not by the words themselves: placement, replacement and the
+// buffer-array references a hit or an install costs depend on lengths alone,
+// and the PSDER sequences are already held by the predecoded program.
+// Lookup returns the resident length; Install takes one.
 package dtb

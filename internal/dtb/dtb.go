@@ -117,25 +117,25 @@ var ErrTooLarge = errors.New("dtb: translation exceeds unit of allocation")
 var ErrNoOverflow = errors.New("dtb: overflow area exhausted")
 
 // entry is one associative-address-array entry plus its replacement-array
-// recency stamp.
+// recency stamp.  The buffer array is modelled by what placement depends on:
+// the entry's primary unit, the overflow blocks linked to it, and the length
+// of the translation they hold.
 type entry struct {
 	valid    bool
 	tag      uint64 // DIR instruction address (associative tag array)
-	bufUnit  int    // primary unit index in the buffer array (address array)
-	overflow []int  // indices of linked overflow blocks, in order
+	overflow int    // overflow blocks linked to the primary unit
 	length   int    // number of valid words of translation
 	lastUse  int64  // replacement array: recency of use
 }
 
 // DTB is the dynamic translation buffer.
 type DTB struct {
-	cfg    Config
-	sets   [][]entry
-	nsets  int
-	buffer []uint32 // buffer array: primary units then overflow blocks
-	free   []int    // free overflow block indices
-	clock  int64
-	stats  Stats
+	cfg   Config
+	sets  [][]entry
+	nsets int
+	free  int // unallocated overflow blocks
+	clock int64
+	stats Stats
 }
 
 // New creates a DTB.
@@ -147,21 +147,10 @@ func New(cfg Config) (*DTB, error) {
 	sets := make([][]entry, nsets)
 	for i := range sets {
 		sets[i] = make([]entry, cfg.Assoc)
-		for j := range sets[i] {
-			sets[i][j].bufUnit = i*cfg.Assoc + j
-		}
 	}
-	d := &DTB{
-		cfg:    cfg,
-		sets:   sets,
-		nsets:  nsets,
-		buffer: make([]uint32, cfg.CapacityWords()),
-	}
+	d := &DTB{cfg: cfg, sets: sets, nsets: nsets}
 	if cfg.Policy == VariableOverflow {
-		d.free = make([]int, 0, cfg.OverflowUnits)
-		for i := 0; i < cfg.OverflowUnits; i++ {
-			d.free = append(d.free, cfg.Entries+i)
-		}
+		d.free = cfg.OverflowUnits
 	}
 	return d, nil
 }
@@ -178,20 +167,13 @@ func (d *DTB) Stats() Stats { return d.stats }
 // ResetStats clears statistics without flushing contents.
 func (d *DTB) ResetStats() { d.stats = Stats{} }
 
-// Reset returns the DTB to its freshly constructed state — contents flushed,
-// statistics zeroed, clock rewound, overflow free list rebuilt in canonical
-// order — without releasing any allocation, so a replayed run behaves
-// exactly like a run against a new DTB.
+// Reset returns the DTB to its freshly constructed state — contents flushed
+// (which returns every overflow block), statistics zeroed, clock rewound —
+// so a replayed run behaves exactly like a run against a new DTB.
 func (d *DTB) Reset() {
 	d.Flush()
 	d.stats = Stats{}
 	d.clock = 0
-	if d.cfg.Policy == VariableOverflow {
-		d.free = d.free[:0]
-		for i := 0; i < d.cfg.OverflowUnits; i++ {
-			d.free = append(d.free, d.cfg.Entries+i)
-		}
-	}
 }
 
 // setOf hashes a DIR address to its set.
@@ -201,10 +183,13 @@ func (d *DTB) setOf(dirAddr uint64) int {
 	return int(dirAddr % uint64(d.nsets))
 }
 
-// lookup presents a DIR instruction address to the associative address array,
-// advancing the clock and recording the hit or miss.  On a hit the entry's
-// recency is refreshed and the entry returned.
-func (d *DTB) lookup(dirAddr uint64) *entry {
+// Lookup presents a DIR instruction address to the associative address array.
+// On a hit it refreshes the entry's recency and returns the length in words
+// of the resident PSDER translation — the buffer-array references fetching it
+// costs — and true.  On a miss it returns 0 and false; the caller (the INTERP
+// trap path) is then expected to run the dynamic translator and Install the
+// result.
+func (d *DTB) Lookup(dirAddr uint64) (int, bool) {
 	d.clock++
 	d.stats.Lookups++
 	set := d.sets[d.setOf(dirAddr)]
@@ -212,34 +197,10 @@ func (d *DTB) lookup(dirAddr uint64) *entry {
 		if set[i].valid && set[i].tag == dirAddr {
 			set[i].lastUse = d.clock
 			d.stats.Hits++
-			return &set[i]
+			return set[i].length, true
 		}
 	}
 	d.stats.Misses++
-	return nil
-}
-
-// Lookup presents a DIR instruction address to the associative address array.
-// On a hit it returns the PSDER translation and true.  On a miss it returns
-// nil and false; the caller (the INTERP trap path) is then expected to run
-// the dynamic translator and Install the result.
-func (d *DTB) Lookup(dirAddr uint64) ([]uint32, bool) {
-	if e := d.lookup(dirAddr); e != nil {
-		return d.read(e), true
-	}
-	return nil, false
-}
-
-// LookupLen behaves exactly like Lookup — same statistics, same recency
-// update — but returns only the length in words of the resident translation
-// instead of copying it out of the buffer array.  Callers that already hold
-// the translation in a shared predecoded form (sim.PredecodedProgram) use
-// this to charge the buffer-array references of the hit path without
-// allocating.
-func (d *DTB) LookupLen(dirAddr uint64) (int, bool) {
-	if e := d.lookup(dirAddr); e != nil {
-		return e.length, true
-	}
 	return 0, false
 }
 
@@ -254,80 +215,20 @@ func (d *DTB) Contains(dirAddr uint64) bool {
 	return false
 }
 
-// read gathers the translation words of an entry from the buffer array.
-func (d *DTB) read(e *entry) []uint32 {
-	out := make([]uint32, 0, e.length)
-	remaining := e.length
-	take := func(unit int) {
-		base := unit * d.cfg.UnitWords
-		n := d.cfg.UnitWords
-		if n > remaining {
-			n = remaining
-		}
-		out = append(out, d.buffer[base:base+n]...)
-		remaining -= n
-	}
-	take(e.bufUnit)
-	for _, ov := range e.overflow {
-		if remaining == 0 {
-			break
-		}
-		take(ov)
-	}
-	return out
-}
-
-// Install stores the PSDER translation of the DIR instruction at dirAddr,
-// replacing the least recently used entry of the selected set.  Under the
-// Fixed policy the translation must fit in one unit of allocation; under
-// VariableOverflow additional blocks are taken from the overflow area.
-// Install returns the number of buffer-array words written.
-func (d *DTB) Install(dirAddr uint64, words []uint32) (int, error) {
-	e, err := d.install(dirAddr, len(words))
-	if err != nil {
-		return 0, err
-	}
-	// Write the words into the primary unit, then into overflow blocks.
-	written := 0
-	writeUnit := func(unit int) {
-		base := unit * d.cfg.UnitWords
-		for i := 0; i < d.cfg.UnitWords && written < len(words); i++ {
-			d.buffer[base+i] = words[written]
-			written++
-		}
-	}
-	writeUnit(e.bufUnit)
-	for _, ov := range e.overflow {
-		writeUnit(ov)
-	}
-	return written, nil
-}
-
-// InstallLen performs exactly the allocation, replacement and statistics
-// bookkeeping of Install for a translation of n words, without copying a word
-// image into the buffer array.  It is the pure cost-replay entry point of the
-// trace-once/cost-many split: every placement decision (victim choice,
-// overflow allocation, rejection) depends only on translation lengths, so a
-// cost derivation driving InstallLen leaves the DTB in a state
-// hit/miss-indistinguishable from a run that installed real words.
-func (d *DTB) InstallLen(dirAddr uint64, n int) (int, error) {
-	if _, err := d.install(dirAddr, n); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// install is the shared allocation core of Install and InstallLen: it selects
-// and prepares the entry for an n-word translation of dirAddr, updating every
-// statistic, and returns the entry words should be written into.
-func (d *DTB) install(dirAddr uint64, n int) (*entry, error) {
+// Install stores an n-word PSDER translation of the DIR instruction at
+// dirAddr, replacing the least recently used entry of the selected set.
+// Under the Fixed policy the translation must fit in one unit of allocation;
+// under VariableOverflow additional blocks are taken from the overflow area.
+// Every placement decision — victim choice, overflow allocation, rejection —
+// depends only on translation lengths, which is all the buffer keeps.
+func (d *DTB) Install(dirAddr uint64, n int) error {
 	if n == 0 {
-		return nil, errors.New("dtb: empty translation")
+		return errors.New("dtb: empty translation")
 	}
 	needUnits := (n + d.cfg.UnitWords - 1) / d.cfg.UnitWords
 	if d.cfg.Policy == Fixed && needUnits > 1 {
 		d.stats.RejectedSize++
-		return nil, fmt.Errorf("%w: %d words > unit of %d", ErrTooLarge, n, d.cfg.UnitWords)
+		return fmt.Errorf("%w: %d words > unit of %d", ErrTooLarge, n, d.cfg.UnitWords)
 	}
 
 	set := d.sets[d.setOf(dirAddr)]
@@ -360,23 +261,16 @@ func (d *DTB) install(dirAddr uint64, n int) (*entry, error) {
 	// Release any overflow blocks held by the entry being replaced.
 	d.releaseOverflow(e)
 
-	overflowNeeded := needUnits - 1
-	if overflowNeeded > 0 {
-		if len(d.free) < overflowNeeded {
+	if need := needUnits - 1; need > 0 {
+		if d.free < need {
 			// Not enough overflow space: leave the entry invalid and report.
 			e.valid = false
 			d.stats.RejectedSize++
-			return nil, fmt.Errorf("%w: need %d blocks, %d free", ErrNoOverflow, overflowNeeded, len(d.free))
+			return fmt.Errorf("%w: need %d blocks, %d free", ErrNoOverflow, need, d.free)
 		}
-		// Pop from the end of the free list and reuse the entry's overflow
-		// slice: neither side allocates in the steady state, and slicing
-		// from the back (unlike the front) keeps the free list's capacity.
-		take := d.free[len(d.free)-overflowNeeded:]
-		e.overflow = append(e.overflow[:0], take...)
-		d.free = d.free[:len(d.free)-overflowNeeded]
+		d.free -= need
+		e.overflow = need
 		d.stats.Overflows++
-	} else {
-		e.overflow = e.overflow[:0]
 	}
 
 	e.valid = true
@@ -385,16 +279,13 @@ func (d *DTB) install(dirAddr uint64, n int) (*entry, error) {
 	d.clock++
 	e.lastUse = d.clock
 	d.stats.Installs++
-	return e, nil
+	return nil
 }
 
-// releaseOverflow returns an entry's overflow blocks to the free list.  The
-// entry keeps its overflow slice's capacity for reuse by a later Install.
+// releaseOverflow returns an entry's overflow blocks to the overflow area.
 func (d *DTB) releaseOverflow(e *entry) {
-	if len(e.overflow) > 0 {
-		d.free = append(d.free, e.overflow...)
-		e.overflow = e.overflow[:0]
-	}
+	d.free += e.overflow
+	e.overflow = 0
 }
 
 // Invalidate removes the translation for dirAddr, if present.  The dynamic
@@ -439,7 +330,7 @@ func (d *DTB) Resident() int {
 }
 
 // FreeOverflowBlocks returns the number of unallocated overflow blocks.
-func (d *DTB) FreeOverflowBlocks() int { return len(d.free) }
+func (d *DTB) FreeOverflowBlocks() int { return d.free }
 
 // ResidentTags returns the DIR addresses currently translated, in arbitrary
 // order.  It is intended for tests and diagnostics.

@@ -16,14 +16,6 @@ func mustNew(t *testing.T, cfg Config) *DTB {
 	return d
 }
 
-func words(n int, seed uint32) []uint32 {
-	w := make([]uint32, n)
-	for i := range w {
-		w[i] = seed + uint32(i)
-	}
-	return w
-}
-
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -71,20 +63,18 @@ func TestCapacity(t *testing.T) {
 
 func TestMissInstallHit(t *testing.T) {
 	d := mustNew(t, Config{Entries: 8, Assoc: 4, UnitWords: 4, Policy: Fixed})
-	if _, hit := d.Lookup(100); hit {
-		t.Fatal("cold lookup should miss")
+	if n, hit := d.Lookup(100); hit || n != 0 {
+		t.Fatalf("cold lookup = (%d, %v), want a miss", n, hit)
 	}
-	trans := words(3, 0xA0)
-	n, err := d.Install(100, trans)
-	if err != nil || n != 3 {
-		t.Fatalf("Install = %d,%v", n, err)
+	if err := d.Install(100, 3); err != nil {
+		t.Fatalf("Install: %v", err)
 	}
-	got, hit := d.Lookup(100)
+	n, hit := d.Lookup(100)
 	if !hit {
 		t.Fatal("lookup after install should hit")
 	}
-	if len(got) != 3 || got[0] != 0xA0 || got[2] != 0xA2 {
-		t.Errorf("translation read back = %v", got)
+	if n != 3 {
+		t.Errorf("resident translation length = %d, want 3", n)
 	}
 	st := d.Stats()
 	if st.Lookups != 2 || st.Hits != 1 || st.Misses != 1 || st.Installs != 1 {
@@ -97,14 +87,14 @@ func TestMissInstallHit(t *testing.T) {
 
 func TestEmptyTranslationRejected(t *testing.T) {
 	d := mustNew(t, DefaultConfig())
-	if _, err := d.Install(1, nil); err == nil {
+	if err := d.Install(1, 0); err == nil {
 		t.Error("empty translation should be rejected")
 	}
 }
 
 func TestFixedPolicyRejectsOversize(t *testing.T) {
 	d := mustNew(t, Config{Entries: 8, Assoc: 4, UnitWords: 4, Policy: Fixed})
-	if _, err := d.Install(5, words(5, 1)); !errors.Is(err, ErrTooLarge) {
+	if err := d.Install(5, 5); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 	if d.Stats().RejectedSize != 1 {
@@ -116,26 +106,19 @@ func TestVariableOverflow(t *testing.T) {
 	cfg := Config{Entries: 8, Assoc: 4, UnitWords: 4, Policy: VariableOverflow, OverflowUnits: 4}
 	d := mustNew(t, cfg)
 	// 10 words need the primary unit plus 2 overflow blocks.
-	trans := words(10, 0x50)
-	if _, err := d.Install(7, trans); err != nil {
+	if err := d.Install(7, 10); err != nil {
 		t.Fatal(err)
 	}
 	if d.FreeOverflowBlocks() != 2 {
 		t.Errorf("free overflow blocks = %d, want 2", d.FreeOverflowBlocks())
 	}
-	got, hit := d.Lookup(7)
-	if !hit || len(got) != 10 {
-		t.Fatalf("lookup = %v hit=%v", got, hit)
-	}
-	for i, v := range got {
-		if v != 0x50+uint32(i) {
-			t.Errorf("word %d = %#x, want %#x", i, v, 0x50+uint32(i))
-		}
+	if n, hit := d.Lookup(7); !hit || n != 10 {
+		t.Fatalf("lookup = (%d, %v), want (10, true)", n, hit)
 	}
 	if d.Stats().Overflows != 1 {
 		t.Errorf("Overflows = %d, want 1", d.Stats().Overflows)
 	}
-	// Invalidation must return the overflow blocks to the free list.
+	// Invalidation must return the overflow blocks to the overflow area.
 	if !d.Invalidate(7) {
 		t.Fatal("Invalidate should succeed")
 	}
@@ -151,11 +134,11 @@ func TestOverflowExhaustion(t *testing.T) {
 	cfg := Config{Entries: 8, Assoc: 4, UnitWords: 2, Policy: VariableOverflow, OverflowUnits: 1}
 	d := mustNew(t, cfg)
 	// 6 words need 2 overflow blocks; only 1 exists.
-	if _, err := d.Install(3, words(6, 1)); !errors.Is(err, ErrNoOverflow) {
+	if err := d.Install(3, 6); !errors.Is(err, ErrNoOverflow) {
 		t.Errorf("err = %v, want ErrNoOverflow", err)
 	}
 	// The buffer must still work for translations that fit.
-	if _, err := d.Install(3, words(2, 9)); err != nil {
+	if err := d.Install(3, 2); err != nil {
 		t.Errorf("small install after rejection failed: %v", err)
 	}
 }
@@ -166,7 +149,7 @@ func TestLRUReplacementWithinSet(t *testing.T) {
 	d := mustNew(t, cfg)
 	install := func(addr uint64) {
 		t.Helper()
-		if _, err := d.Install(addr, words(2, uint32(addr))); err != nil {
+		if err := d.Install(addr, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,10 +177,10 @@ func TestEvictionReleasesOverflow(t *testing.T) {
 	cfg := Config{Entries: 2, Assoc: 2, UnitWords: 2, Policy: VariableOverflow, OverflowUnits: 2}
 	d := mustNew(t, cfg)
 	// Fill both ways with overflowing translations (each takes 1 overflow block).
-	if _, err := d.Install(0, words(4, 1)); err != nil {
+	if err := d.Install(0, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Install(1, words(4, 2)); err != nil {
+	if err := d.Install(1, 4); err != nil {
 		t.Fatal(err)
 	}
 	if d.FreeOverflowBlocks() != 0 {
@@ -205,7 +188,7 @@ func TestEvictionReleasesOverflow(t *testing.T) {
 	}
 	// Install a third overflowing translation: the eviction must free the
 	// victim's overflow block so this succeeds.
-	if _, err := d.Install(2, words(4, 3)); err != nil {
+	if err := d.Install(2, 4); err != nil {
 		t.Fatalf("install after eviction should reuse freed overflow: %v", err)
 	}
 	if d.FreeOverflowBlocks() != 0 {
@@ -215,15 +198,14 @@ func TestEvictionReleasesOverflow(t *testing.T) {
 
 func TestReinstallSameTagReplacesInPlace(t *testing.T) {
 	d := mustNew(t, Config{Entries: 8, Assoc: 4, UnitWords: 4, Policy: Fixed})
-	if _, err := d.Install(5, words(2, 0x10)); err != nil {
+	if err := d.Install(5, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Install(5, words(3, 0x20)); err != nil {
+	if err := d.Install(5, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, hit := d.Lookup(5)
-	if !hit || len(got) != 3 || got[0] != 0x20 {
-		t.Errorf("reinstalled translation = %v hit=%v", got, hit)
+	if n, hit := d.Lookup(5); !hit || n != 3 {
+		t.Errorf("reinstalled translation = (%d, %v), want (3, true)", n, hit)
 	}
 	if d.Resident() != 1 {
 		t.Errorf("resident = %d, want 1 (no duplicate entries for one tag)", d.Resident())
@@ -233,7 +215,7 @@ func TestReinstallSameTagReplacesInPlace(t *testing.T) {
 func TestFlush(t *testing.T) {
 	d := mustNew(t, DefaultConfig())
 	for i := uint64(0); i < 10; i++ {
-		if _, err := d.Install(i, words(2, uint32(i))); err != nil {
+		if err := d.Install(i, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,8 +240,8 @@ func TestInvalidateMissing(t *testing.T) {
 
 func TestResidentTagsAndString(t *testing.T) {
 	d := mustNew(t, DefaultConfig())
-	_, _ = d.Install(11, words(1, 1))
-	_, _ = d.Install(22, words(1, 2))
+	_ = d.Install(11, 1)
+	_ = d.Install(22, 1)
 	tags := d.ResidentTags()
 	if len(tags) != 2 {
 		t.Errorf("ResidentTags = %v", tags)
@@ -281,7 +263,7 @@ func TestTightLoopHitRatioApproachesUnity(t *testing.T) {
 	for pass := 0; pass < 200; pass++ {
 		for _, addr := range loop {
 			if _, hit := d.Lookup(addr); !hit {
-				if _, err := d.Install(addr, words(3, uint32(addr))); err != nil {
+				if err := d.Install(addr, 3); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -301,7 +283,7 @@ func TestWorkingSetLargerThanDTB(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			addr := uint64(i * 4)
 			if _, hit := d.Lookup(addr); !hit {
-				if _, err := d.Install(addr, words(2, uint32(i))); err != nil {
+				if err := d.Install(addr, 2); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -313,14 +295,13 @@ func TestWorkingSetLargerThanDTB(t *testing.T) {
 }
 
 // Property: a lookup immediately after a successful install always hits and
-// returns exactly the installed words.
+// returns exactly the installed length.
 func TestQuickInstallThenHit(t *testing.T) {
 	cfg := Config{Entries: 32, Assoc: 4, UnitWords: 4, Policy: VariableOverflow, OverflowUnits: 64}
 	d := mustNew(t, cfg)
-	f := func(addr uint64, n uint8, seed uint32) bool {
+	f := func(addr uint64, n uint8) bool {
 		length := int(n%16) + 1
-		trans := words(length, seed)
-		if _, err := d.Install(addr, trans); err != nil {
+		if err := d.Install(addr, length); err != nil {
 			// A random install stream can legitimately exhaust the overflow
 			// area (every entry may hold up to 3 overflow blocks, more than
 			// OverflowUnits provides in total); the INTERP path tolerates
@@ -328,24 +309,17 @@ func TestQuickInstallThenHit(t *testing.T) {
 			return errors.Is(err, ErrNoOverflow) || errors.Is(err, ErrTooLarge)
 		}
 		got, hit := d.Lookup(addr)
-		if !hit || len(got) != length {
-			return false
-		}
-		for i := range got {
-			if got[i] != trans[i] {
-				return false
-			}
-		}
-		return true
+		return hit && got == length
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: structural invariants hold under random workloads — resident
-// count never exceeds Entries, each tag appears at most once, lookups =
-// hits + misses, and overflow blocks are conserved.
+// Property: structural invariants hold under random workloads of lookups,
+// installs, invalidations and resets — resident count never exceeds Entries,
+// each tag appears at most once, lookups = hits + misses, and overflow blocks
+// are conserved.
 func TestQuickInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -359,7 +333,7 @@ func TestQuickInvariants(t *testing.T) {
 			for _, set := range d.sets {
 				for _, e := range set {
 					if e.valid {
-						total += len(e.overflow)
+						total += e.overflow
 					}
 				}
 			}
@@ -368,11 +342,13 @@ func TestQuickInvariants(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			addr := uint64(rng.Intn(40))
 			if _, hit := d.Lookup(addr); !hit {
-				n := rng.Intn(5) + 1
-				_, _ = d.Install(addr, words(n, uint32(i)))
+				_ = d.Install(addr, rng.Intn(5)+1)
 			}
 			if rng.Intn(10) == 0 {
 				d.Invalidate(uint64(rng.Intn(40)))
+			}
+			if rng.Intn(100) == 0 {
+				d.Reset()
 			}
 		}
 		if d.Resident() > cfg.Entries {
@@ -399,7 +375,7 @@ func TestQuickInvariants(t *testing.T) {
 
 func BenchmarkLookupHit(b *testing.B) {
 	d, _ := New(DefaultConfig())
-	_, _ = d.Install(42, words(3, 1))
+	_ = d.Install(42, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, _ = d.Lookup(42)
@@ -413,57 +389,33 @@ func BenchmarkLookupInstallMixed(b *testing.B) {
 	for i := range addrs {
 		addrs[i] = uint64(rng.Intn(512))
 	}
-	trans := words(3, 7)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		addr := addrs[i%len(addrs)]
 		if _, hit := d.Lookup(addr); !hit {
-			_, _ = d.Install(addr, trans)
+			_ = d.Install(addr, 3)
 		}
 	}
 }
 
-func TestLookupLenMatchesLookup(t *testing.T) {
-	d := mustNew(t, Config{Entries: 8, Assoc: 4, UnitWords: 4, Policy: VariableOverflow, OverflowUnits: 4})
-	if n, hit := d.LookupLen(1); hit || n != 0 {
-		t.Fatalf("LookupLen on empty DTB = (%d, %v)", n, hit)
-	}
-	w := words(7, 100) // spills into one overflow block
-	if _, err := d.Install(1, w); err != nil {
-		t.Fatal(err)
-	}
-	n, hit := d.LookupLen(1)
-	if !hit || n != len(w) {
-		t.Fatalf("LookupLen(1) = (%d, %v), want (%d, true)", n, hit, len(w))
-	}
-	got, hit := d.Lookup(1)
-	if !hit || len(got) != n {
-		t.Fatalf("Lookup(1) = %d words, LookupLen reported %d", len(got), n)
-	}
-	st := d.Stats()
-	if st.Lookups != 3 || st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats after LookupLen+Lookup = %+v", st)
-	}
-}
-
-func TestLookupLenUpdatesRecency(t *testing.T) {
-	// One set, two ways: touching a via LookupLen must keep it resident while
+func TestLookupUpdatesRecency(t *testing.T) {
+	// One set, two ways: touching a via Lookup must keep it resident while
 	// b, untouched, is the LRU victim.
 	d := mustNew(t, Config{Entries: 2, Assoc: 2, UnitWords: 4, Policy: Fixed})
-	if _, err := d.Install(0, words(2, 10)); err != nil {
+	if err := d.Install(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Install(2, words(2, 20)); err != nil {
+	if err := d.Install(2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit := d.LookupLen(0); !hit {
+	if _, hit := d.Lookup(0); !hit {
 		t.Fatal("expected hit on 0")
 	}
-	if _, err := d.Install(4, words(2, 30)); err != nil {
+	if err := d.Install(4, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Contains(0) || d.Contains(2) {
-		t.Fatalf("LRU after LookupLen: contains(0)=%v contains(2)=%v", d.Contains(0), d.Contains(2))
+		t.Fatalf("LRU after Lookup: contains(0)=%v contains(2)=%v", d.Contains(0), d.Contains(2))
 	}
 }

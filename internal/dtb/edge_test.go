@@ -2,58 +2,43 @@ package dtb
 
 import (
 	"errors"
-	"fmt"
-	"math/rand"
 	"testing"
 )
 
 // TestZeroOverflowArea pins the VariableOverflow policy with an empty
 // overflow area: unit-sized translations behave normally, anything larger is
 // rejected with ErrNoOverflow, counted in RejectedSize, and leaves the victim
-// entry invalid rather than half-installed.  The identical sequence is driven
-// through Install and InstallLen, which must agree on every outcome.
+// entry invalid rather than half-installed.
 func TestZeroOverflowArea(t *testing.T) {
-	for _, byLen := range []bool{false, true} {
-		t.Run(fmt.Sprintf("byLen=%v", byLen), func(t *testing.T) {
-			d, err := New(Config{Entries: 4, Assoc: 4, UnitWords: 4, Policy: VariableOverflow, OverflowUnits: 0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			install := func(addr uint64, n int) error {
-				if byLen {
-					_, err := d.InstallLen(addr, n)
-					return err
-				}
-				_, err := d.Install(addr, words(n, uint32(addr)))
-				return err
-			}
-			if err := install(10, 4); err != nil {
-				t.Fatalf("unit-sized install: %v", err)
-			}
-			if _, ok := d.Lookup(10); !ok {
-				t.Fatal("unit-sized translation not resident")
-			}
-			if err := install(11, 5); err == nil {
-				t.Fatal("oversized install with no overflow area succeeded")
-			} else if !errors.Is(err, ErrNoOverflow) {
-				t.Fatalf("oversized install: %v, want ErrNoOverflow", err)
-			}
-			st := d.Stats()
-			if st.RejectedSize != 1 {
-				t.Errorf("RejectedSize = %d, want 1", st.RejectedSize)
-			}
-			if st.Overflows != 0 {
-				t.Errorf("Overflows = %d, want 0", st.Overflows)
-			}
-			// The rejected translation's victim slot must be invalid: a partial
-			// translation served on a later hit would be a correctness bug.
-			if d.Contains(11) {
-				t.Error("rejected translation is resident")
-			}
-			if d.Resident() != 1 {
-				t.Errorf("Resident = %d, want 1 (only the unit-sized entry)", d.Resident())
-			}
-		})
+	d, err := New(Config{Entries: 4, Assoc: 4, UnitWords: 4, Policy: VariableOverflow, OverflowUnits: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Install(10, 4); err != nil {
+		t.Fatalf("unit-sized install: %v", err)
+	}
+	if _, ok := d.Lookup(10); !ok {
+		t.Fatal("unit-sized translation not resident")
+	}
+	if err := d.Install(11, 5); err == nil {
+		t.Fatal("oversized install with no overflow area succeeded")
+	} else if !errors.Is(err, ErrNoOverflow) {
+		t.Fatalf("oversized install: %v, want ErrNoOverflow", err)
+	}
+	st := d.Stats()
+	if st.RejectedSize != 1 {
+		t.Errorf("RejectedSize = %d, want 1", st.RejectedSize)
+	}
+	if st.Overflows != 0 {
+		t.Errorf("Overflows = %d, want 0", st.Overflows)
+	}
+	// The rejected translation's victim slot must be invalid: a partial
+	// translation served on a later hit would be a correctness bug.
+	if d.Contains(11) {
+		t.Error("rejected translation is resident")
+	}
+	if d.Resident() != 1 {
+		t.Errorf("Resident = %d, want 1 (only the unit-sized entry)", d.Resident())
 	}
 }
 
@@ -74,7 +59,7 @@ func TestSingleEntryDTB(t *testing.T) {
 		if _, ok := d.Lookup(addr); ok {
 			t.Fatalf("round %d: unexpected hit on %d", i, addr)
 		}
-		if _, err := d.Install(addr, words(3, uint32(addr))); err != nil {
+		if err := d.Install(addr, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,10 +74,10 @@ func TestSingleEntryDTB(t *testing.T) {
 	// A repeated address now hits every time.
 	d.ResetStats()
 	for i := 0; i < rounds; i++ {
-		if got, ok := d.Lookup(101); !ok {
+		if n, ok := d.Lookup(101); !ok {
 			t.Fatalf("round %d: repeat address missed", i)
-		} else if len(got) != 3 || got[0] != 101 {
-			t.Fatalf("round %d: wrong translation %v", i, got)
+		} else if n != 3 {
+			t.Fatalf("round %d: translation length %d, want 3", i, n)
 		}
 	}
 	if st := d.Stats(); st.Hits != rounds || st.Misses != 0 {
@@ -115,7 +100,7 @@ func TestCapacityEqualsWorkingSet(t *testing.T) {
 			for a := 0; a < workingSet; a++ {
 				addr := uint64(1000 + a)
 				if _, ok := d.Lookup(addr); !ok {
-					if _, err := d.Install(addr, words(2, uint32(a))); err != nil {
+					if err := d.Install(addr, 2); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -145,8 +130,8 @@ func TestCapacityEqualsWorkingSet(t *testing.T) {
 }
 
 // TestOverflowRecyclingAfterReset exhausts the overflow area, Resets, and
-// requires the rebuilt free list to serve the same allocations again — the
-// invariant the warm-start replayer relies on.
+// requires the recovered overflow blocks to serve the same allocations again
+// — the invariant the warm-start replayer relies on.
 func TestOverflowRecyclingAfterReset(t *testing.T) {
 	cfg := Config{Entries: 8, Assoc: 4, UnitWords: 4, Policy: VariableOverflow, OverflowUnits: 2}
 	d, err := New(cfg)
@@ -156,7 +141,7 @@ func TestOverflowRecyclingAfterReset(t *testing.T) {
 	exhaust := func(tag string) {
 		// Two 8-word translations take one overflow block each.
 		for a := uint64(0); a < 2; a++ {
-			if _, err := d.Install(a, words(8, uint32(a))); err != nil {
+			if err := d.Install(a, 8); err != nil {
 				t.Fatalf("%s: install %d: %v", tag, a, err)
 			}
 		}
@@ -165,7 +150,7 @@ func TestOverflowRecyclingAfterReset(t *testing.T) {
 		}
 		// A third oversized translation maps to a different set (addresses 0
 		// and 1 already hold the blocks), so it must be rejected.
-		if _, err := d.Install(2, words(8, 2)); !errors.Is(err, ErrNoOverflow) {
+		if err := d.Install(2, 8); !errors.Is(err, ErrNoOverflow) {
 			t.Fatalf("%s: exhausted install: %v, want ErrNoOverflow", tag, err)
 		}
 	}
@@ -187,96 +172,5 @@ func TestOverflowRecyclingAfterReset(t *testing.T) {
 	}
 	if d.FreeOverflowBlocks() != 1 {
 		t.Errorf("after Invalidate: %d overflow blocks free, want 1", d.FreeOverflowBlocks())
-	}
-}
-
-// TestInstallLenLockstep drives a long seeded random workload through two
-// DTBs — one with the word-copying Lookup/Install, one with the length-only
-// LookupLen/InstallLen cost-replay entry points — and requires them to stay
-// observationally identical at every step: same hit/miss answers, same
-// lengths, same statistics, same residency, same overflow free list.  This
-// is the contract that makes trace-derived cost reports trustworthy.
-func TestInstallLenLockstep(t *testing.T) {
-	cfg := Config{Entries: 16, Assoc: 4, UnitWords: 4, Policy: VariableOverflow, OverflowUnits: 4}
-	full, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lens, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// total accumulates activity across the resets inside the workload, so the
-	// closing "did this exercise anything" check sees the whole run.
-	var total Stats
-	addStats := func(a, b Stats) Stats {
-		a.Lookups += b.Lookups
-		a.Hits += b.Hits
-		a.Misses += b.Misses
-		a.Installs += b.Installs
-		a.Evictions += b.Evictions
-		a.Overflows += b.Overflows
-		a.RejectedSize += b.RejectedSize
-		a.Invalidates += b.Invalidates
-		return a
-	}
-
-	rng := rand.New(rand.NewSource(42))
-	steps := 20_000
-	if testing.Short() {
-		steps = 2_000
-	}
-	for i := 0; i < steps; i++ {
-		// A skewed address distribution: a hot working set plus a cold tail,
-		// with occasional resets and invalidations mixed in.
-		var addr uint64
-		if rng.Intn(4) > 0 {
-			addr = uint64(rng.Intn(12))
-		} else {
-			addr = uint64(64 + rng.Intn(256))
-		}
-		switch op := rng.Intn(32); {
-		case op == 0:
-			total = addStats(total, full.Stats())
-			full.Reset()
-			lens.Reset()
-		case op == 1:
-			a, b := full.Invalidate(addr), lens.Invalidate(addr)
-			if a != b {
-				t.Fatalf("step %d: Invalidate(%d) = %v vs %v", i, addr, a, b)
-			}
-		default:
-			w, hitFull := full.Lookup(addr)
-			n, hitLens := lens.LookupLen(addr)
-			if hitFull != hitLens {
-				t.Fatalf("step %d: Lookup(%d) hit %v vs %v", i, addr, hitFull, hitLens)
-			}
-			if hitFull {
-				if len(w) != n {
-					t.Fatalf("step %d: translation length %d vs %d", i, len(w), n)
-				}
-				continue
-			}
-			size := 1 + rng.Intn(2*cfg.UnitWords+1) // 1..9 words: unit and overflow sizes
-			_, errFull := full.Install(addr, words(size, uint32(addr)))
-			_, errLens := lens.InstallLen(addr, size)
-			if (errFull == nil) != (errLens == nil) {
-				t.Fatalf("step %d: Install(%d, %d words) err %v vs %v", i, addr, size, errFull, errLens)
-			}
-		}
-		if full.Stats() != lens.Stats() {
-			t.Fatalf("step %d: stats diverged:\nfull: %+v\nlens: %+v", i, full.Stats(), lens.Stats())
-		}
-		if full.Resident() != lens.Resident() {
-			t.Fatalf("step %d: residency %d vs %d", i, full.Resident(), lens.Resident())
-		}
-		if full.FreeOverflowBlocks() != lens.FreeOverflowBlocks() {
-			t.Fatalf("step %d: free overflow %d vs %d", i, full.FreeOverflowBlocks(), lens.FreeOverflowBlocks())
-		}
-	}
-	total = addStats(total, full.Stats())
-	if total.Lookups == 0 || total.Overflows == 0 || total.Evictions == 0 {
-		t.Errorf("workload too tame to be conclusive: %+v", total)
 	}
 }

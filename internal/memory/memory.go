@@ -3,7 +3,6 @@ package memory
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Cycles is a duration expressed in level-1 access-time units.
@@ -97,14 +96,13 @@ func (s *Stats) Add(other Stats) {
 	s.BufferTime += other.BufferTime
 }
 
-// Hierarchy is a two-level memory with named segments.
+// Hierarchy is a two-level memory: per-level capacity accounting for the
+// segments allocated in it, and reference counts and time for every access
+// charged to it.  It stores no contents.
 type Hierarchy struct {
-	cfg      Config
-	level1   []byte
-	level2   []byte
-	used     map[Level]int
-	segments map[string]*Segment
-	stats    Stats
+	cfg   Config
+	used  map[Level]int
+	stats Stats
 }
 
 // New creates a hierarchy.  It returns an error if the configuration is
@@ -114,11 +112,8 @@ func New(cfg Config) (*Hierarchy, error) {
 		return nil, err
 	}
 	return &Hierarchy{
-		cfg:      cfg,
-		level1:   make([]byte, cfg.Level1Size),
-		level2:   make([]byte, cfg.Level2Size),
-		used:     map[Level]int{Level1: 0, Level2: 0},
-		segments: make(map[string]*Segment),
+		cfg:  cfg,
+		used: map[Level]int{Level1: 0, Level2: 0},
 	}, nil
 }
 
@@ -128,20 +123,12 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // Stats returns accumulated reference statistics.
 func (h *Hierarchy) Stats() Stats { return h.stats }
 
-// ResetStats clears accumulated statistics without touching contents.
+// ResetStats clears accumulated statistics; allocated segments remain.
 func (h *Hierarchy) ResetStats() { h.stats = Stats{} }
 
-// AccessTime returns the access time of a level.
-func (h *Hierarchy) AccessTime(l Level) Cycles {
-	if l == Level1 {
-		return h.cfg.Level1Time
-	}
-	return h.cfg.Level2Time
-}
-
-// ChargeBuffer records a DTB/cache array reference (the paper's tD) without
-// touching backing storage; the DTB keeps its own arrays but its timing is
-// accounted here so one Stats value covers the whole machine.
+// ChargeBuffer records a DTB/cache array reference (the paper's tD).  The DTB
+// and cache model their own arrays, but their timing is accounted here so one
+// Stats value covers the whole machine.
 func (h *Hierarchy) ChargeBuffer(refs int64) Cycles {
 	t := Cycles(refs) * h.cfg.BufferTime
 	h.stats.BufferRefs += refs
@@ -149,10 +136,9 @@ func (h *Hierarchy) ChargeBuffer(refs int64) Cycles {
 	return t
 }
 
-// ChargeLevel1 records level-1 references without touching backing storage
-// (used for the compiled organisation's native-code fetches, whose closures
-// are not byte-materialised in a segment), so one Stats value still covers
-// the whole machine.
+// ChargeLevel1 records level-1 references.  The compiled organisation's
+// native-code fetches, whose closures occupy no segment, are charged here
+// directly, so one Stats value still covers the whole machine.
 func (h *Hierarchy) ChargeLevel1(refs int64) Cycles {
 	t := Cycles(refs) * h.cfg.Level1Time
 	h.stats.Level1Refs += refs
@@ -172,12 +158,13 @@ func (h *Hierarchy) Free(l Level) int {
 	}
 }
 
-// Segment is a named, contiguous region of one memory level.
+// Segment is a named, contiguous region of one memory level.  Only its extent
+// is modelled: a word reference is bounds-checked and charged, and no
+// contents are stored.
 type Segment struct {
 	h     *Hierarchy
 	name  string
 	level Level
-	base  int
 	size  int
 }
 
@@ -187,8 +174,8 @@ var ErrOutOfMemory = errors.New("memory: level exhausted")
 // ErrBounds is returned by segment accesses outside the segment.
 var ErrBounds = errors.New("memory: access outside segment")
 
-// Allocate carves a segment of size bytes out of the given level.  Segment
-// names must be unique within the hierarchy.
+// Allocate carves a segment of size bytes out of the given level.  The name
+// labels the segment in errors.
 func (h *Hierarchy) Allocate(level Level, name string, size int) (*Segment, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("memory: non-positive segment size %d", size)
@@ -196,32 +183,11 @@ func (h *Hierarchy) Allocate(level Level, name string, size int) (*Segment, erro
 	if level != Level1 && level != Level2 {
 		return nil, fmt.Errorf("memory: unknown level %d", level)
 	}
-	if _, dup := h.segments[name]; dup {
-		return nil, fmt.Errorf("memory: segment %q already allocated", name)
-	}
 	if h.Free(level) < size {
 		return nil, fmt.Errorf("%w: %s needs %d bytes, %d free in %s", ErrOutOfMemory, name, size, h.Free(level), level)
 	}
-	seg := &Segment{h: h, name: name, level: level, base: h.used[level], size: size}
 	h.used[level] += size
-	h.segments[name] = seg
-	return seg, nil
-}
-
-// Segment returns a previously allocated segment by name.
-func (h *Hierarchy) Segment(name string) (*Segment, bool) {
-	s, ok := h.segments[name]
-	return s, ok
-}
-
-// Segments returns the names of all allocated segments in sorted order.
-func (h *Hierarchy) Segments() []string {
-	names := make([]string, 0, len(h.segments))
-	for n := range h.segments {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return &Segment{h: h, name: name, level: level, size: size}, nil
 }
 
 // Name returns the segment's name.
@@ -236,117 +202,17 @@ func (s *Segment) Size() int { return s.size }
 // Words returns the segment size in words.
 func (s *Segment) Words() int { return s.size / WordBytes }
 
-func (s *Segment) backing() []byte {
-	if s.level == Level1 {
-		return s.h.level1[s.base : s.base+s.size]
-	}
-	return s.h.level2[s.base : s.base+s.size]
-}
-
-// Bytes returns the raw backing bytes of the segment without charging any
-// access time.  It is intended for loading programs and for tests.
-func (s *Segment) Bytes() []byte { return s.backing() }
-
-func (s *Segment) charge(refs int64) Cycles {
-	var t Cycles
-	if s.level == Level1 {
-		t = Cycles(refs) * s.h.cfg.Level1Time
-		s.h.stats.Level1Refs += refs
-		s.h.stats.Level1Time += t
-	} else {
-		t = Cycles(refs) * s.h.cfg.Level2Time
-		s.h.stats.Level2Refs += refs
-		s.h.stats.Level2Time += t
-	}
-	return t
-}
-
-// ReadWord reads the 32-bit word at word offset idx, charging one reference.
-func (s *Segment) ReadWord(idx int) (uint32, Cycles, error) {
-	off := idx * WordBytes
-	if idx < 0 || off+WordBytes > s.size {
-		return 0, 0, fmt.Errorf("%w: word %d of %q", ErrBounds, idx, s.name)
-	}
-	b := s.backing()
-	v := uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])
-	return v, s.charge(1), nil
-}
-
-// WriteWord writes the 32-bit word at word offset idx, charging one reference.
-func (s *Segment) WriteWord(idx int, v uint32) (Cycles, error) {
-	off := idx * WordBytes
-	if idx < 0 || off+WordBytes > s.size {
+// ChargeWord charges one reference to the word at word offset idx, at the
+// access time of the segment's level, and returns the cycles charged.
+func (s *Segment) ChargeWord(idx int) (Cycles, error) {
+	if idx < 0 || idx >= s.Words() {
 		return 0, fmt.Errorf("%w: word %d of %q", ErrBounds, idx, s.name)
 	}
-	b := s.backing()
-	b[off] = byte(v >> 24)
-	b[off+1] = byte(v >> 16)
-	b[off+2] = byte(v >> 8)
-	b[off+3] = byte(v)
-	return s.charge(1), nil
-}
-
-// ReadBits reads a width-bit field starting at absolute bit offset bitOff
-// within the segment (fields may span word boundaries).  The number of
-// references charged is the number of distinct words the field touches.
-func (s *Segment) ReadBits(bitOff, width int) (uint64, Cycles, error) {
-	if width < 0 || width > 64 {
-		return 0, 0, fmt.Errorf("memory: invalid field width %d", width)
+	if s.level == Level1 {
+		return s.h.ChargeLevel1(1), nil
 	}
-	if bitOff < 0 || bitOff+width > s.size*8 {
-		return 0, 0, fmt.Errorf("%w: bits [%d,%d) of %q", ErrBounds, bitOff, bitOff+width, s.name)
-	}
-	b := s.backing()
-	var v uint64
-	for i := 0; i < width; i++ {
-		pos := bitOff + i
-		bit := (b[pos/8] >> uint(7-pos%8)) & 1
-		v = v<<1 | uint64(bit)
-	}
-	refs := wordsTouched(bitOff, width)
-	return v, s.charge(refs), nil
-}
-
-// WriteBits writes the width least-significant bits of v at bit offset bitOff.
-func (s *Segment) WriteBits(bitOff int, v uint64, width int) (Cycles, error) {
-	if width < 0 || width > 64 {
-		return 0, fmt.Errorf("memory: invalid field width %d", width)
-	}
-	if bitOff < 0 || bitOff+width > s.size*8 {
-		return 0, fmt.Errorf("%w: bits [%d,%d) of %q", ErrBounds, bitOff, bitOff+width, s.name)
-	}
-	b := s.backing()
-	for i := 0; i < width; i++ {
-		pos := bitOff + i
-		bit := (v >> uint(width-1-i)) & 1
-		mask := byte(1) << uint(7-pos%8)
-		if bit != 0 {
-			b[pos/8] |= mask
-		} else {
-			b[pos/8] &^= mask
-		}
-	}
-	refs := wordsTouched(bitOff, width)
-	return s.charge(refs), nil
-}
-
-// Load copies data into the segment starting at byte offset off without
-// charging access time (used to place compiled programs into memory before a
-// run begins, as a loader would).
-func (s *Segment) Load(off int, data []byte) error {
-	if off < 0 || off+len(data) > s.size {
-		return fmt.Errorf("%w: load of %d bytes at %d into %q", ErrBounds, len(data), off, s.name)
-	}
-	copy(s.backing()[off:], data)
-	return nil
-}
-
-// wordsTouched returns how many distinct words a bit field spans.
-func wordsTouched(bitOff, width int) int64 {
-	if width == 0 {
-		return 1
-	}
-	firstWord := bitOff / (WordBytes * 8)
-	lastWord := (bitOff + width - 1) / (WordBytes * 8)
-	return int64(lastWord - firstWord + 1)
+	t := s.h.cfg.Level2Time
+	s.h.stats.Level2Refs++
+	s.h.stats.Level2Time += t
+	return t, nil
 }

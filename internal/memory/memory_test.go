@@ -2,9 +2,7 @@ package memory
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func mustNew(t *testing.T) *Hierarchy {
@@ -60,9 +58,6 @@ func TestAllocate(t *testing.T) {
 	if h.Free(Level1) != DefaultConfig().Level1Size-4096 {
 		t.Errorf("Free(Level1) = %d", h.Free(Level1))
 	}
-	if _, err := h.Allocate(Level1, "interp", 64); err == nil {
-		t.Error("duplicate segment name should fail")
-	}
 	if _, err := h.Allocate(Level1, "huge", 1<<30); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("oversize allocation err = %v, want ErrOutOfMemory", err)
 	}
@@ -72,39 +67,34 @@ func TestAllocate(t *testing.T) {
 	if _, err := h.Allocate(Level(5), "x", 8); err == nil {
 		t.Error("unknown level should fail")
 	}
-	got, ok := h.Segment("interp")
-	if !ok || got != seg {
-		t.Error("Segment lookup failed")
-	}
-	if _, ok := h.Segment("nope"); ok {
-		t.Error("Segment lookup of unknown name should fail")
-	}
-	if names := h.Segments(); len(names) != 1 || names[0] != "interp" {
-		t.Errorf("Segments() = %v", names)
-	}
 	if h.Free(Level(9)) != 0 {
 		t.Errorf("Free of unknown level should be 0")
 	}
+	// Capacity is accounted per level: filling level 2 exactly leaves level 1
+	// untouched, and one more byte is refused.
+	if _, err := h.Allocate(Level2, "program", DefaultConfig().Level2Size); err != nil {
+		t.Fatalf("allocation of all of level 2: %v", err)
+	}
+	if h.Free(Level2) != 0 || h.Free(Level1) != DefaultConfig().Level1Size-4096 {
+		t.Errorf("Free after filling level 2 = %d, %d", h.Free(Level1), h.Free(Level2))
+	}
+	if _, err := h.Allocate(Level2, "more", 1); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("allocation from a full level err = %v, want ErrOutOfMemory", err)
+	}
 }
 
-func TestWordReadWriteAndTiming(t *testing.T) {
+func TestChargeWordTiming(t *testing.T) {
 	h := mustNew(t)
 	l1, _ := h.Allocate(Level1, "fast", 64)
 	l2, _ := h.Allocate(Level2, "slow", 64)
 
-	if c, err := l1.WriteWord(3, 0xDEADBEEF); err != nil || c != 1 {
-		t.Fatalf("l1 write: cycles=%d err=%v", c, err)
-	}
-	v, c, err := l1.ReadWord(3)
-	if err != nil || v != 0xDEADBEEF || c != 1 {
-		t.Fatalf("l1 read: v=%x cycles=%d err=%v", v, c, err)
-	}
-	if c, err := l2.WriteWord(0, 42); err != nil || c != 10 {
-		t.Fatalf("l2 write: cycles=%d err=%v", c, err)
-	}
-	v, c, err = l2.ReadWord(0)
-	if err != nil || v != 42 || c != 10 {
-		t.Fatalf("l2 read: v=%d cycles=%d err=%v", v, c, err)
+	for _, idx := range []int{3, 15} {
+		if c, err := l1.ChargeWord(idx); err != nil || c != 1 {
+			t.Fatalf("l1 word %d: cycles=%d err=%v", idx, c, err)
+		}
+		if c, err := l2.ChargeWord(idx - 3); err != nil || c != 10 {
+			t.Fatalf("l2 word %d: cycles=%d err=%v", idx-3, c, err)
+		}
 	}
 
 	st := h.Stats()
@@ -126,81 +116,14 @@ func TestWordReadWriteAndTiming(t *testing.T) {
 
 func TestWordBounds(t *testing.T) {
 	h := mustNew(t)
-	seg, _ := h.Allocate(Level1, "s", 16)
-	if _, _, err := seg.ReadWord(4); !errors.Is(err, ErrBounds) {
-		t.Errorf("read past end err = %v", err)
-	}
-	if _, _, err := seg.ReadWord(-1); !errors.Is(err, ErrBounds) {
-		t.Errorf("negative read err = %v", err)
-	}
-	if _, err := seg.WriteWord(4, 1); !errors.Is(err, ErrBounds) {
-		t.Errorf("write past end err = %v", err)
-	}
-}
-
-func TestBitAccess(t *testing.T) {
-	h := mustNew(t)
-	seg, _ := h.Allocate(Level1, "bits", 16)
-	// Write a 13-bit field straddling a word boundary (bits 27..39).
-	if _, err := seg.WriteBits(27, 0x155A, 13); err != nil {
-		t.Fatal(err)
-	}
-	v, cycles, err := seg.ReadBits(27, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0x155A {
-		t.Errorf("bit field = %x, want 0x155A", v)
-	}
-	// The field spans 2 words, so 2 references are charged.
-	if cycles != 2 {
-		t.Errorf("cycles = %d, want 2 (field spans two words)", cycles)
-	}
-	// A field within one word charges 1 reference.
-	_, cycles, err = seg.ReadBits(0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cycles != 1 {
-		t.Errorf("cycles = %d, want 1", cycles)
-	}
-}
-
-func TestBitAccessErrors(t *testing.T) {
-	h := mustNew(t)
-	seg, _ := h.Allocate(Level1, "bits", 4)
-	if _, _, err := seg.ReadBits(0, 65); err == nil {
-		t.Error("width 65 should fail")
-	}
-	if _, _, err := seg.ReadBits(30, 8); !errors.Is(err, ErrBounds) {
-		t.Error("read past segment end should fail")
-	}
-	if _, _, err := seg.ReadBits(-1, 4); !errors.Is(err, ErrBounds) {
-		t.Error("negative offset should fail")
-	}
-	if _, err := seg.WriteBits(0, 0, 65); err == nil {
-		t.Error("write width 65 should fail")
-	}
-	if _, err := seg.WriteBits(30, 0, 8); !errors.Is(err, ErrBounds) {
-		t.Error("write past segment end should fail")
-	}
-}
-
-func TestLoad(t *testing.T) {
-	h := mustNew(t)
-	seg, _ := h.Allocate(Level2, "prog", 16)
-	if err := seg.Load(4, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
+	seg, _ := h.Allocate(Level1, "s", 18) // four whole words and a partial one
+	for _, idx := range []int{4, -1} {
+		if _, err := seg.ChargeWord(idx); !errors.Is(err, ErrBounds) {
+			t.Errorf("word %d err = %v, want ErrBounds", idx, err)
+		}
 	}
 	if h.Stats().TotalRefs() != 0 {
-		t.Error("Load must not charge access time")
-	}
-	v, _, err := seg.ReadWord(1)
-	if err != nil || v != 0x01020304 {
-		t.Errorf("word after load = %x err=%v", v, err)
-	}
-	if err := seg.Load(14, []byte{1, 2, 3, 4}); !errors.Is(err, ErrBounds) {
-		t.Error("overlong load should fail")
+		t.Errorf("out-of-bounds words charged %d references", h.Stats().TotalRefs())
 	}
 }
 
@@ -223,88 +146,5 @@ func TestStatsAdd(t *testing.T) {
 	if a.Level1Refs != 11 || a.Level2Refs != 22 || a.BufferRefs != 33 ||
 		a.Level1Time != 44 || a.Level2Time != 55 || a.BufferTime != 66 {
 		t.Errorf("Add result = %+v", a)
-	}
-}
-
-func TestSegmentsIsolated(t *testing.T) {
-	h := mustNew(t)
-	a, _ := h.Allocate(Level1, "a", 16)
-	b, _ := h.Allocate(Level1, "b", 16)
-	_, _ = a.WriteWord(0, 0xAAAAAAAA)
-	_, _ = b.WriteWord(0, 0xBBBBBBBB)
-	va, _, _ := a.ReadWord(0)
-	vb, _, _ := b.ReadWord(0)
-	if va != 0xAAAAAAAA || vb != 0xBBBBBBBB {
-		t.Errorf("segments overlap: a=%x b=%x", va, vb)
-	}
-}
-
-// Property: word write/read round-trips for arbitrary values and offsets.
-func TestQuickWordRoundTrip(t *testing.T) {
-	h := mustNew(t)
-	seg, err := h.Allocate(Level1, "q", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(idx uint16, v uint32) bool {
-		i := int(idx) % seg.Words()
-		if _, err := seg.WriteWord(i, v); err != nil {
-			return false
-		}
-		got, _, err := seg.ReadWord(i)
-		return err == nil && got == v
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: bit write/read round-trips and never disturbs a disjoint field.
-func TestQuickBitFieldsIndependent(t *testing.T) {
-	h := mustNew(t)
-	seg, err := h.Allocate(Level1, "q", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		totalBits := seg.Size() * 8
-		// Two disjoint fields.
-		w1 := rng.Intn(32) + 1
-		w2 := rng.Intn(32) + 1
-		off1 := rng.Intn(totalBits - w1 - w2 - 1)
-		off2 := off1 + w1 + rng.Intn(totalBits-off1-w1-w2)
-		v1 := rng.Uint64() & ((1 << uint(w1)) - 1)
-		v2 := rng.Uint64() & ((1 << uint(w2)) - 1)
-		if _, err := seg.WriteBits(off1, v1, w1); err != nil {
-			return false
-		}
-		if _, err := seg.WriteBits(off2, v2, w2); err != nil {
-			return false
-		}
-		g1, _, err1 := seg.ReadBits(off1, w1)
-		g2, _, err2 := seg.ReadBits(off2, w2)
-		return err1 == nil && err2 == nil && g1 == v1 && g2 == v2
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func BenchmarkReadWordLevel1(b *testing.B) {
-	h, _ := New(DefaultConfig())
-	seg, _ := h.Allocate(Level1, "b", 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = seg.ReadWord(i % seg.Words())
-	}
-}
-
-func BenchmarkReadBits(b *testing.B) {
-	h, _ := New(DefaultConfig())
-	seg, _ := h.Allocate(Level2, "b", 4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _, _ = seg.ReadBits((i*13)%(seg.Size()*8-64), 13)
 	}
 }

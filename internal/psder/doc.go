@@ -11,6 +11,8 @@
 // instruction that names — immediately or via the operand stack — the next
 // DIR instruction to interpret.
 //
-// Sequences encode to and from 32-bit buffer-array words so the DTB stores
-// exactly what a hardware buffer array would.
+// Each short-format instruction occupies one 32-bit buffer-array word, so a
+// sequence's length in instructions is its size in the DTB (the paper's s1);
+// Sequence.Validate enforces the 24-bit argument field that makes every
+// instruction fit its word.
 package psder

@@ -273,22 +273,20 @@ func (s Sequence) BaseSemanticCost() int {
 	return cost
 }
 
-// Word-encoding layout: op(4) | mode(4) | arg(24), arg is a signed 24-bit
-// two's-complement field.
+// Buffer-array word layout: op(4) | mode(4) | arg(24), arg a signed 24-bit
+// two's-complement field.  Validate holds every argument to that field, so
+// each short-format instruction fits one word.
 const (
 	argBits = 24
 	argMax  = 1<<(argBits-1) - 1
 	argMin  = -(1 << (argBits - 1))
 )
 
-// Encoding errors.
+// Validation errors.
 var (
 	// ErrArgRange is returned when an argument does not fit the 24-bit word
 	// field.
 	ErrArgRange = errors.New("psder: argument out of 24-bit range")
-	// ErrBadWord is returned when a buffer-array word does not decode to a
-	// valid short-format instruction.
-	ErrBadWord = errors.New("psder: invalid buffer-array word")
 	// ErrNoInterp is returned when a sequence does not end with INTERP or a
 	// halt.
 	ErrNoInterp = errors.New("psder: sequence must end with INTERP or a halt call")
@@ -323,41 +321,4 @@ func (s Sequence) Validate() error {
 		return nil
 	}
 	return ErrNoInterp
-}
-
-// Encode packs the sequence into buffer-array words.
-func (s Sequence) Encode() ([]uint32, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	words := make([]uint32, len(s))
-	for i, in := range s {
-		words[i] = uint32(in.Op)<<28 | uint32(in.Mode)<<24 | (uint32(in.Arg) & 0x00FFFFFF)
-	}
-	return words, nil
-}
-
-// DecodeWords unpacks buffer-array words into a sequence.
-func DecodeWords(words []uint32) (Sequence, error) {
-	if len(words) == 0 {
-		return nil, fmt.Errorf("%w: empty", ErrBadWord)
-	}
-	seq := make(Sequence, len(words))
-	for i, w := range words {
-		op := ShortOp(w >> 28)
-		mode := Mode((w >> 24) & 0xF)
-		arg := int32(w & 0x00FFFFFF)
-		// Sign-extend the 24-bit argument.
-		if arg&0x00800000 != 0 {
-			arg |= ^int32(0x00FFFFFF)
-		}
-		if !op.Valid() || !mode.Valid() {
-			return nil, fmt.Errorf("%w: word %d = %#08x", ErrBadWord, i, w)
-		}
-		seq[i] = Instr{Op: op, Mode: mode, Arg: arg}
-	}
-	if err := seq.Validate(); err != nil {
-		return nil, err
-	}
-	return seq, nil
 }

@@ -39,9 +39,11 @@ type PoolStats struct {
 // Pool keeps warmed sim.Replayers for reuse.  A Replayer owns its memory
 // hierarchy, DTB/cache, host machine and report, all built by NewReplayer;
 // checking one out and calling Replay therefore does no construction work at
-// all — the steady-state replay loop is 0 allocs/op.  Replayers are not safe
-// for concurrent use, which is exactly what the checkout discipline
-// enforces: a leased replayer belongs to one request until released.
+// all — the steady-state replay loop is 0 allocs/op.  A miss builds a new
+// replayer, which costs a few KiB: the hierarchy, DTB and cache it holds
+// model capacity and references, not contents.  Replayers are not safe for
+// concurrent use, which is exactly what the checkout discipline enforces: a
+// leased replayer belongs to one request until released.
 //
 // All Pool methods are safe for concurrent use.
 type Pool struct {

@@ -14,6 +14,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"uhm/internal/dtb"
 	"uhm/internal/faultinject"
@@ -143,7 +144,7 @@ func (r *Replayer) Derive() (*Report, error) {
 	case WithDTB:
 		r.buf.Reset()
 		for _, pc := range tr.PCs {
-			words, hit := r.buf.LookupLen(uint64(pc))
+			words, hit := r.buf.Lookup(uint64(pc))
 			if hit {
 				report.FetchCycles += memory.Cycles(words) * tD
 				bufferRefs += int64(words)
@@ -156,21 +157,21 @@ func (r *Replayer) Derive() (*Report, error) {
 			report.FetchCycles += memory.Cycles(w) * t2
 			decodeSteps += int64(r.pp.costs[pc].Steps)
 			decodedInstrs++
-			enc := int64(len(r.pp.encoded[pc]))
-			genCycles := memory.Cycles(enc)
-			storeCycles := memory.Cycles(enc) * tD
+			n := int64(len(r.pp.seqs[pc]))
+			genCycles := memory.Cycles(n)
+			storeCycles := memory.Cycles(n) * tD
 			report.TranslateCycles += genCycles + storeCycles
 			translateOps += int64(genCycles + storeCycles)
 			translations++
-			if _, err := r.buf.InstallLen(uint64(pc), int(enc)); err != nil &&
+			if err := r.buf.Install(uint64(pc), int(n)); err != nil &&
 				!errors.Is(err, dtb.ErrTooLarge) && !errors.Is(err, dtb.ErrNoOverflow) {
 				return nil, err
 			}
 			// Store into the buffer array, then fetch the fresh translation
 			// back out, exactly as the live miss path charges it.
-			bufferRefs += 2 * enc
-			report.FetchCycles += memory.Cycles(enc) * tD
-			psderWordsFetched += enc
+			bufferRefs += 2 * n
+			report.FetchCycles += memory.Cycles(n) * tD
+			psderWordsFetched += n
 		}
 		report.DecodeCycles = memory.Cycles(decodeSteps)
 
@@ -236,7 +237,7 @@ func DiffReports(a, b *Report) string {
 	if a.Degree != b.Degree {
 		add("Degree", a.Degree, b.Degree)
 	}
-	if !int64SlicesEqual(a.Output, b.Output) {
+	if !slices.Equal(a.Output, b.Output) {
 		add("Output", a.Output, b.Output)
 	}
 	if a.Instructions != b.Instructions {
@@ -295,16 +296,4 @@ func DiffReports(a, b *Report) string {
 		result += "; " + d
 	}
 	return result
-}
-
-func int64SlicesEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -33,7 +33,6 @@ type PredecodedProgram struct {
 
 	seqs          []psder.Sequence // PSDER translation of each instruction
 	costs         []dir.DecodeCost // decode cost of each instruction
-	encoded       [][]uint32       // buffer-array image of each translation
 	expandedWords int              // total PSDER words of the full expansion
 	baseBytes     int              // resident bytes of the eagerly built forms
 
@@ -66,7 +65,7 @@ func Predecode(p *dir.Program, degree dir.Degree) (*PredecodedProgram, error) {
 }
 
 // PredecodeBinary decodes every instruction of the binary once and generates
-// its PSDER translation and buffer-array encoding.
+// and validates its PSDER translation.
 func PredecodeBinary(bin *dir.Binary) (*PredecodedProgram, error) {
 	pd, err := bin.Predecode()
 	if err != nil {
@@ -77,23 +76,19 @@ func PredecodeBinary(bin *dir.Binary) (*PredecodedProgram, error) {
 		Binary:     bin,
 		seqs:       make([]psder.Sequence, len(pd.Instrs)),
 		costs:      pd.Costs,
-		encoded:    make([][]uint32, len(pd.Instrs)),
 		fetchFirst: make([]int32, len(pd.Instrs)),
 		fetchWords: make([]int32, len(pd.Instrs)),
 	}
 	for pc, in := range pd.Instrs {
 		seq, err := translate.Translate(in, pc)
-		if err != nil {
-			return nil, fmt.Errorf("sim: predecode instruction %d (%s): %w", pc, in, err)
+		if err == nil {
+			err = seq.Validate()
 		}
-		enc, err := seq.Encode()
 		if err != nil {
 			return nil, fmt.Errorf("sim: predecode instruction %d (%s): %w", pc, in, err)
 		}
 		pp.seqs[pc] = seq
-		pp.encoded[pc] = enc
 		pp.expandedWords += seq.Words()
-		pp.baseBytes += len(enc) * 4
 
 		// Record the instruction's static fetch geometry (mirroring the
 		// fetch loop's zero-length rule for degenerate encodings).
@@ -110,16 +105,16 @@ func PredecodeBinary(bin *dir.Binary) (*PredecodedProgram, error) {
 		pp.fetchWords[pc] = int32(lastWord - firstWord + 1)
 	}
 	// The byte accounting the service registry evicts on: the encoded static
-	// representation, the per-pc PSDER sequences and buffer-array images, the
-	// recorded decode costs (two machine ints per pc) and the fetch-geometry
-	// tables (two int32 per pc).
-	pp.baseBytes += bin.SizeBytes() + pp.expandedWords*memory.WordBytes + len(pd.Costs)*16 + len(pd.Instrs)*8
+	// representation, the per-pc PSDER sequences, the recorded decode costs
+	// (two machine ints per pc) and the fetch-geometry tables (two int32 per
+	// pc).
+	pp.baseBytes = bin.SizeBytes() + pp.expandedWords*memory.WordBytes + len(pd.Costs)*16 + len(pd.Instrs)*8
 	return pp, nil
 }
 
 // FootprintBytes estimates the resident size of the predecoded forms: the
-// encoded binary, the PSDER sequences, the buffer-array images, the decode
-// costs, and — once built — the closure-compiled program and the recorded
+// encoded binary, the PSDER sequences, the decode costs, the fetch geometry,
+// and — once built — the closure-compiled program and the recorded
 // execution trace.  The service registry charges this against its byte budget
 // when deciding what to evict, so a cached trace lives and dies with its
 // artifact.  Safe for concurrent use with Compiled and Trace.
@@ -141,11 +136,6 @@ func (pp *PredecodedProgram) Sequence(pc int) psder.Sequence { return pp.seqs[pc
 // the binary, as an interpreter without this fast path would pay it on every
 // execution.
 func (pp *PredecodedProgram) DecodeCost(pc int) dir.DecodeCost { return pp.costs[pc] }
-
-// EncodedWords returns the buffer-array image of the translation at pc — what
-// the dynamic translator stores in the DTB.  The returned slice is shared:
-// callers must not modify it.
-func (pp *PredecodedProgram) EncodedWords(pc int) []uint32 { return pp.encoded[pc] }
 
 // ExpandedWords returns the total size in words of the fully expanded PSDER
 // program (the §3.1 "expanded machine language" baseline).

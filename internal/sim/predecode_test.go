@@ -42,12 +42,8 @@ func TestPredecodeMatchesFreshDecode(t *testing.T) {
 				if pp.DecodeCost(pc) != cost {
 					t.Errorf("%s/%v pc %d: cost %+v, want %+v", name, degree, pc, pp.DecodeCost(pc), cost)
 				}
-				enc, err := want[pc].Encode()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(pp.EncodedWords(pc), enc) {
-					t.Errorf("%s/%v pc %d: encoded words differ", name, degree, pc)
+				if err := pp.Sequence(pc).Validate(); err != nil {
+					t.Errorf("%s/%v pc %d: %v", name, degree, pc, err)
 				}
 			}
 		}

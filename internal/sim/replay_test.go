@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"uhm/internal/compile"
@@ -77,6 +78,40 @@ func TestReplayAllocatesOnlyAtSetup(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: steady-state replay allocates %.1f objects per run, want 0", strategy, allocs)
+		}
+	}
+}
+
+// TestNewReplayerFootprint bounds what building a Replayer allocates.  The
+// memory hierarchy, DTB and cache model capacity and references, not
+// contents, so a replayer of sieve stays a few KiB under every organisation
+// although the default hierarchy has 8 MiB of level 2.  The figure is the
+// heap allocated per NewReplayer, averaged over eight.
+func TestNewReplayerFootprint(t *testing.T) {
+	const replayers = 8
+	const bound = 64 << 10
+	cfg := DefaultConfig()
+	pp, err := Predecode(workload.MustCompileAt("sieve", compile.LevelStack), cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The compiled form belongs to the shared program, not to a replayer.
+	if _, err := pp.Compiled(); err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range Strategies() {
+		rs := make([]*Replayer, replayers)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range rs {
+			if rs[i], err = NewReplayer(pp, strategy, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(rs)
+		if per := (after.TotalAlloc - before.TotalAlloc) / replayers; per >= bound {
+			t.Errorf("%v: NewReplayer allocates %d B, want under %d B", strategy, per, bound)
 		}
 	}
 }

@@ -219,9 +219,11 @@ func RunPredecoded(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Repor
 // times.  Every structure a run needs — the memory hierarchy and its
 // segments, the DTB or cache, the host machine, the report — is allocated
 // once by NewReplayer; Replay resets and reuses them, so the steady-state
-// replay loop allocates nothing.  Sweeps that re-run the same configuration
-// (repeated rounds, measurement loops) use a Replayer; one-shot callers use
-// RunPredecoded, which is a NewReplayer + Replay pair.
+// replay loop allocates nothing.  The hierarchy, DTB and cache model capacity,
+// placement and references only, never contents, so building a Replayer
+// costs a few KiB whatever the configured memory sizes.  Sweeps that re-run
+// the same configuration (repeated rounds, measurement loops) use a Replayer;
+// one-shot callers use RunPredecoded, which is a NewReplayer + Replay pair.
 //
 // A Replayer is not safe for concurrent use; concurrent runs should each
 // construct their own (the predecoded program itself is safely shared).
@@ -265,17 +267,14 @@ func NewReplayer(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Replaye
 	}
 	r.hier = hier
 
-	// Level-2 segment holding the static DIR representation, rounded up to a
-	// whole number of words so the final partially-filled word is readable.
+	// Level-2 segment holding the static DIR representation (its bits stay in
+	// bin), rounded up to a whole number of words so the final
+	// partially-filled word is fetchable.
 	dirBytes := (bin.SizeBytes() + memory.WordBytes - 1) / memory.WordBytes * memory.WordBytes
-	dirSeg, err := hier.Allocate(memory.Level2, "dir-program", max(dirBytes, memory.WordBytes))
+	r.dirSeg, err = hier.Allocate(memory.Level2, "dir-program", max(dirBytes, memory.WordBytes))
 	if err != nil {
 		return nil, err
 	}
-	if err := dirSeg.Load(0, bin.Bytes()); err != nil {
-		return nil, err
-	}
-	r.dirSeg = dirSeg
 	// Level-1 segment holding the interpreter: the semantic-routine library
 	// plus the decoder's tables.  The compiled organisation carries neither —
 	// the routines are compiled into its native code (counted by
@@ -411,7 +410,7 @@ func (r *Replayer) run() error {
 			report.DecodeCycles += memory.Cycles(steps)
 
 		case WithDTB:
-			words, hit := buf.LookupLen(uint64(pc))
+			words, hit := buf.Lookup(uint64(pc))
 			if hit {
 				// Fetch the PSDER version from the buffer array (s1 refs at
 				// tD).  The resident words are this pc's translation, so the
@@ -434,22 +433,23 @@ func (r *Replayer) run() error {
 				decodedInstrs++
 				report.DecodeCycles += memory.Cycles(steps)
 
-				encoded := r.pp.EncodedWords(pc)
 				// Generation: one cycle per emitted word; storing: one
-				// buffer-array write per word.
-				genCycles := memory.Cycles(len(encoded))
-				storeCycles := hier.ChargeBuffer(int64(len(encoded)))
+				// buffer-array write per word (one word per short-format
+				// instruction).
+				n := seq.Words()
+				genCycles := memory.Cycles(n)
+				storeCycles := hier.ChargeBuffer(int64(n))
 				report.TranslateCycles += genCycles + storeCycles
 				translateOps += int64(genCycles + storeCycles)
 				translations++
-				if _, err := buf.Install(uint64(pc), encoded); err != nil &&
+				if err := buf.Install(uint64(pc), n); err != nil &&
 					!errors.Is(err, dtb.ErrTooLarge) && !errors.Is(err, dtb.ErrNoOverflow) {
 					return err
 				}
 				// Fetch the freshly installed translation from the buffer
 				// array, as the INTERP hit path would.
-				report.FetchCycles += hier.ChargeBuffer(int64(len(encoded)))
-				psderWordsFetched += int64(len(encoded))
+				report.FetchCycles += hier.ChargeBuffer(int64(n))
+				psderWordsFetched += int64(n)
 			}
 
 		case Expanded:
@@ -560,7 +560,7 @@ func (r *Replayer) fetchFromLevel2(seg *memory.Segment, bin *dir.Binary, pc int,
 				continue
 			}
 		}
-		_, cycles, err := seg.ReadWord(w)
+		cycles, err := seg.ChargeWord(w)
 		if err != nil {
 			return total, err
 		}

@@ -8,6 +8,7 @@ import (
 	"uhm/internal/compile"
 	"uhm/internal/dir"
 	"uhm/internal/dtb"
+	"uhm/internal/memory"
 	"uhm/internal/workload"
 )
 
@@ -305,5 +306,44 @@ func TestCompiledReportAccounting(t *testing.T) {
 	}
 	if rep.CompiledWords == 0 {
 		t.Error("CompiledWords should report the native-code footprint")
+	}
+}
+
+// TestFetchChargesSpannedWords pins the replay loop's fetch geometry: an
+// instruction costs one level-2 reference for each word its bit range
+// touches, so a range straddling a word boundary costs two.
+func TestFetchChargesSpannedWords(t *testing.T) {
+	cfg := DefaultConfig()
+	pp, err := Predecode(workload.MustCompileAt("sieve", compile.LevelStack), cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReplayer(pp, Conventional, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[int64]bool{}
+	for pc := 0; pc < pp.NumInstrs(); pc++ {
+		off, n, err := pp.Binary.InstrBitRange(pc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := map[int]bool{}
+		for bit := off; bit < off+max(n, 1); bit++ {
+			touched[bit/32] = true
+		}
+		want := int64(len(touched))
+		spans[want] = true
+		before := r.hier.Stats().Level2Refs
+		cycles, err := r.fetchFromLevel2(r.dirSeg, pp.Binary, pc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.hier.Stats().Level2Refs - before; got != want || cycles != memory.Cycles(want)*cfg.Memory.Level2Time {
+			t.Errorf("pc %d, bits [%d,%d): %d references, %d cycles; want %d references", pc, off, off+n, got, cycles, want)
+		}
+	}
+	if !spans[1] || !spans[2] {
+		t.Errorf("sieve's instructions span %v words; the test needs both one and two", spans)
 	}
 }

@@ -1,13 +1,10 @@
-// Package workload supplies the programs and reference-stream generators the
-// experiments run on:
+// Package workload supplies the programs the experiments run on:
 //
 //   - a library of MiniLang source programs chosen to exercise the behaviours
 //     the paper's argument rests on — tight loops (high locality), deep
 //     recursion and call-heavy code (working-set churn), array sweeps and
 //     mixed arithmetic — standing in for the FORTRAN/ALGOL-style programs of
 //     the era;
-//   - synthetic DIR-address reference streams with controllable locality,
-//     used to sweep hit ratio against buffer size (the statistic the paper
-//     takes from the cache literature: h_c = 0.9 and h_D = 0.8 at 4 KiB);
-//   - Denning working-set analysis over reference streams.
+//   - the catalogue of seeded generator archetypes (internal/workload/gen),
+//     controlled locality profiles for population experiments.
 package workload

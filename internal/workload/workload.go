@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"uhm/internal/compile"
@@ -260,104 +259,4 @@ func ReferenceOutput(name string) ([]int64, error) {
 		return nil, err
 	}
 	return res.Output, nil
-}
-
-// TraceConfig controls the synthetic DIR-address reference generator.
-type TraceConfig struct {
-	// Length is the number of references to generate.
-	Length int
-	// AddressSpace is the number of distinct DIR instruction addresses.
-	AddressSpace int
-	// WorkingSet is the number of addresses the stream concentrates on at
-	// any one time (the locality the paper's principle-of-locality argument
-	// relies on).
-	WorkingSet int
-	// PhaseLength is how many references are drawn from one working set
-	// before it drifts to a new region.
-	PhaseLength int
-	// JumpProb is the probability of an out-of-working-set reference.
-	JumpProb float64
-	// Seed makes the stream reproducible.
-	Seed int64
-}
-
-// DefaultTraceConfig returns a stream with pronounced locality.
-func DefaultTraceConfig() TraceConfig {
-	return TraceConfig{
-		Length:       50_000,
-		AddressSpace: 4096,
-		WorkingSet:   96,
-		PhaseLength:  2_000,
-		JumpProb:     0.02,
-		Seed:         1,
-	}
-}
-
-// Validate checks the configuration.
-func (c TraceConfig) Validate() error {
-	if c.Length <= 0 || c.AddressSpace <= 0 || c.WorkingSet <= 0 || c.PhaseLength <= 0 {
-		return fmt.Errorf("workload: trace parameters must be positive: %+v", c)
-	}
-	if c.WorkingSet > c.AddressSpace {
-		return fmt.Errorf("workload: working set %d exceeds address space %d", c.WorkingSet, c.AddressSpace)
-	}
-	if c.JumpProb < 0 || c.JumpProb > 1 {
-		return fmt.Errorf("workload: jump probability %v outside [0,1]", c.JumpProb)
-	}
-	return nil
-}
-
-// SyntheticTrace generates a DIR-address reference stream exhibiting the
-// phase/working-set behaviour the locality literature describes.
-func SyntheticTrace(c TraceConfig) ([]uint64, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	trace := make([]uint64, c.Length)
-	base := rng.Intn(c.AddressSpace)
-	for i := 0; i < c.Length; i++ {
-		if i%c.PhaseLength == 0 && i > 0 {
-			base = rng.Intn(c.AddressSpace)
-		}
-		var addr int
-		if rng.Float64() < c.JumpProb {
-			addr = rng.Intn(c.AddressSpace)
-		} else {
-			addr = (base + rng.Intn(c.WorkingSet)) % c.AddressSpace
-		}
-		trace[i] = uint64(addr)
-	}
-	return trace, nil
-}
-
-// WorkingSetSizes computes the Denning working-set size |W(t, window)| at
-// each multiple of the window over the trace: the number of distinct
-// addresses referenced in the last window references.
-func WorkingSetSizes(trace []uint64, window int) []int {
-	if window <= 0 || len(trace) == 0 {
-		return nil
-	}
-	var sizes []int
-	for end := window; end <= len(trace); end += window {
-		seen := make(map[uint64]struct{})
-		for _, a := range trace[end-window : end] {
-			seen[a] = struct{}{}
-		}
-		sizes = append(sizes, len(seen))
-	}
-	return sizes
-}
-
-// AverageWorkingSet returns the mean of WorkingSetSizes.
-func AverageWorkingSet(trace []uint64, window int) float64 {
-	sizes := WorkingSetSizes(trace, window)
-	if len(sizes) == 0 {
-		return 0
-	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	return float64(total) / float64(len(sizes))
 }

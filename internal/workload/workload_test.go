@@ -89,111 +89,6 @@ func TestMustCompileAt(t *testing.T) {
 	MustCompileAt("nonexistent", compile.LevelStack)
 }
 
-func TestSyntheticTraceValidation(t *testing.T) {
-	if err := DefaultTraceConfig().Validate(); err != nil {
-		t.Fatalf("default trace config invalid: %v", err)
-	}
-	bad := []TraceConfig{
-		{Length: 0, AddressSpace: 10, WorkingSet: 5, PhaseLength: 10},
-		{Length: 10, AddressSpace: 0, WorkingSet: 5, PhaseLength: 10},
-		{Length: 10, AddressSpace: 10, WorkingSet: 20, PhaseLength: 10},
-		{Length: 10, AddressSpace: 10, WorkingSet: 5, PhaseLength: 0},
-		{Length: 10, AddressSpace: 10, WorkingSet: 5, PhaseLength: 10, JumpProb: 1.5},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d should fail validation", i)
-		}
-		if _, err := SyntheticTrace(c); err == nil {
-			t.Errorf("case %d: SyntheticTrace should reject invalid config", i)
-		}
-	}
-}
-
-func TestSyntheticTraceProperties(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	trace, err := SyntheticTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trace) != cfg.Length {
-		t.Fatalf("trace length = %d", len(trace))
-	}
-	for _, a := range trace {
-		if a >= uint64(cfg.AddressSpace) {
-			t.Fatalf("address %d outside address space", a)
-		}
-	}
-	// Determinism: same seed, same trace.
-	again, _ := SyntheticTrace(cfg)
-	if !reflect.DeepEqual(trace, again) {
-		t.Error("traces with the same seed should be identical")
-	}
-	other := cfg
-	other.Seed = 99
-	different, _ := SyntheticTrace(other)
-	if reflect.DeepEqual(trace, different) {
-		t.Error("traces with different seeds should differ")
-	}
-}
-
-func TestWorkingSetAnalysis(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	trace, err := SyntheticTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := WorkingSetSizes(trace, 1000)
-	if len(sizes) != cfg.Length/1000 {
-		t.Fatalf("working set windows = %d", len(sizes))
-	}
-	avg := AverageWorkingSet(trace, 1000)
-	// The working set must be far smaller than the address space (that is
-	// the locality the DTB exploits) but at least as large as a good chunk
-	// of the configured working set.
-	if avg >= float64(cfg.AddressSpace)/4 {
-		t.Errorf("average working set %v too close to the address space %d", avg, cfg.AddressSpace)
-	}
-	if avg < float64(cfg.WorkingSet)/2 {
-		t.Errorf("average working set %v suspiciously small for configured %d", avg, cfg.WorkingSet)
-	}
-	if WorkingSetSizes(nil, 100) != nil || WorkingSetSizes(trace, 0) != nil {
-		t.Error("degenerate working-set queries should return nil")
-	}
-	if AverageWorkingSet(nil, 100) != 0 {
-		t.Error("empty trace average should be 0")
-	}
-}
-
-func TestLowLocalityTraceHasLargerWorkingSet(t *testing.T) {
-	local := DefaultTraceConfig()
-	scattered := local
-	scattered.WorkingSet = scattered.AddressSpace
-	scattered.JumpProb = 1.0
-	lt, err := SyntheticTrace(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := SyntheticTrace(scattered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if AverageWorkingSet(st, 1000) <= AverageWorkingSet(lt, 1000) {
-		t.Error("a scattered trace should have a larger working set than a local one")
-	}
-}
-
-func BenchmarkSyntheticTrace(b *testing.B) {
-	cfg := DefaultTraceConfig()
-	cfg.Length = 10_000
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := SyntheticTrace(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // TestArchetypeCatalogue checks the workload-level archetype catalogue stays
 // in lockstep with the generator's and that generation round-trips through it.
 func TestArchetypeCatalogue(t *testing.T) {
