@@ -711,6 +711,39 @@ func BenchmarkModelValidation(b *testing.B) {
 	}
 }
 
+// BenchmarkConformanceArchetype measures one differential conformance check
+// (core.CheckConformance: 3 levels x 4 encodings x 5 organisations against
+// the hlr oracle) per archetype, on the first generated program whose oracle
+// run takes 2,000-8,000 steps, the band the uhmperf sweep workload draws
+// from.  It is the unit of work of uhmbench -gen and of that workload.
+func BenchmarkConformanceArchetype(b *testing.B) {
+	cfg := benchConfig()
+	for _, a := range gen.Archetypes() {
+		var p *gen.Program
+		for seed := int64(1); p == nil && seed <= 1_000; seed++ {
+			g, err := a.Generate(seed)
+			if err == nil && g.OracleSteps >= 2_000 && g.OracleSteps <= 8_000 {
+				p = g
+			}
+		}
+		if p == nil {
+			b.Fatalf("%s: no program of 2,000-8,000 oracle steps among seeds 1..1000", a.Name)
+		}
+		b.Run(a.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				divs, err := core.CheckConformance(p.Name, p.Source, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(divs) != 0 {
+					b.Fatalf("%s diverged: %v", p.Name, divs[0])
+				}
+			}
+		})
+	}
+}
+
 // benchWorkingSet is the working set the start-up benchmarks bring online:
 // three workloads, each run once under DTB at the stack level.
 var benchWorkingSet = workloadRequests([]string{"loopsum", "fib", "sieve"}, benchConfig())

@@ -64,6 +64,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -155,7 +156,7 @@ func realMain() int {
 	case *genCount > 0:
 		err = runConformance(ctx, archetypes, *genSeed, *genCount, *workers, !*noMinimize, cfg)
 	default:
-		err = run(ctx, engine, *exp, opts, *jsonPath, cfg)
+		err = run(ctx, os.Stdout, engine, *exp, opts, *jsonPath, cfg)
 	}
 
 	// Report a memprofile failure without eclipsing the run's own error —
@@ -236,16 +237,16 @@ func parseExperiments(exp string) ([]string, error) {
 	return out, nil
 }
 
-func run(ctx context.Context, engine core.Engine, exp string, opts core.ExperimentOptions, jsonPath string, cfg core.Config) error {
+func run(ctx context.Context, w io.Writer, engine core.Engine, exp string, opts core.ExperimentOptions, jsonPath string, cfg core.Config) error {
 	experiments, err := parseExperiments(exp)
 	if err != nil {
 		return err
 	}
 	for _, e := range experiments {
-		if err := runOne(ctx, engine, e, opts, jsonPath, cfg); err != nil {
+		if err := runOne(ctx, w, engine, e, opts, jsonPath, cfg); err != nil {
 			return fmt.Errorf("%s: %w", e, err)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
@@ -370,20 +371,20 @@ func runConformanceOne(ctx context.Context, archetype string, seed int64, n, wor
 	return fmt.Errorf("conformance: %d of %d generated programs diverged", len(res.Failing), res.Seeds)
 }
 
-// runOne prints one experiment.  modelerr with -json also writes the
+// runOne prints one experiment to w.  modelerr with -json also writes the
 // machine-readable error distribution, which needs the structured result
 // rather than its rendering.
-func runOne(ctx context.Context, engine core.Engine, exp string, opts core.ExperimentOptions, jsonPath string, cfg core.Config) error {
+func runOne(ctx context.Context, w io.Writer, engine core.Engine, exp string, opts core.ExperimentOptions, jsonPath string, cfg core.Config) error {
 	if exp != "modelerr" || jsonPath == "" {
 		text, err := engine.Experiment(ctx, exp, opts, cfg)
-		fmt.Print(text)
+		fmt.Fprint(w, text)
 		return err
 	}
 	v, err := engine.ModelValidation(ctx, opts.Archetypes, opts.Programs, opts.Seed, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Print(core.RenderModelValidation(v))
+	fmt.Fprint(w, core.RenderModelValidation(v))
 	doc, err := core.ModelValidationJSON(v, "uhmbench")
 	if err != nil {
 		return err
@@ -391,6 +392,6 @@ func runOne(ctx context.Context, engine core.Engine, exp string, opts core.Exper
 	if err := os.WriteFile(jsonPath, doc, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d bytes)\n", jsonPath, len(doc))
+	fmt.Fprintf(w, "wrote %s (%d bytes)\n", jsonPath, len(doc))
 	return nil
 }

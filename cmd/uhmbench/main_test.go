@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 
 	"uhm/internal/core"
+	"uhm/internal/service"
 	"uhm/internal/workload"
 )
 
@@ -82,5 +86,46 @@ func TestParseArchetypes(t *testing.T) {
 func TestRunChaosSinglePlan(t *testing.T) {
 	if err := runChaos(context.Background(), 1, 1); err != nil {
 		t.Fatalf("runChaos: %v", err)
+	}
+}
+
+// TestExperimentsGolden pins `uhmbench -exp all` byte for byte on the
+// parallel and serial engines and in crosscheck mode, which must all print
+// the same report.  After a deliberate change to the experiments, regenerate
+// the file with
+//
+//	go run ./cmd/uhmbench -exp all > cmd/uhmbench/testdata/exp_all.golden
+func TestExperimentsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/exp_all.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		workers int
+		mode    core.RunMode
+	}{
+		{"parallel", 0, core.ModeDerived},
+		{"serial", 1, core.ModeDerived},
+		{"crosscheck", 0, core.ModeCrossCheck},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engine := service.New(service.Options{Workers: tc.workers}).Engine()
+			engine.Mode = tc.mode
+			var out bytes.Buffer
+			opts := core.ExperimentOptions{Seed: 1} // the -seed default
+			if err := run(context.Background(), &out, engine, "all", opts, "", core.DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+			got, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+			for i := range min(len(got), len(wantLines)) {
+				if got[i] != wantLines[i] {
+					t.Fatalf("line %d:\n got  %q\n want %q", i+1, got[i], wantLines[i])
+				}
+			}
+			if len(got) != len(wantLines) {
+				t.Fatalf("%d lines, want %d", len(got), len(wantLines))
+			}
+		})
 	}
 }

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"maps"
 	"reflect"
 	"strings"
 	"testing"
+
+	"uhm/internal/psder"
 )
 
 func quickConfig() Config {
@@ -160,15 +163,30 @@ func TestFigure2(t *testing.T) {
 }
 
 func TestFigure3(t *testing.T) {
-	act, err := Figure3("", quickConfig())
+	// callheavy calls 14 routines, more than the rendered top 10, so the
+	// whole IU1/IU2 activity is pinned here rather than through the report.
+	act, err := Figure3("callheavy", quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if act.Instructions <= 0 || act.SemanticCycles <= 0 {
+	if act.Instructions != 3481 || act.SemanticCycles <= 0 {
 		t.Errorf("activity = %+v", act)
 	}
-	if len(act.ShortOps) == 0 || len(act.Routines) == 0 {
-		t.Error("IU1/IU2 activity should be recorded")
+	wantShort := map[psder.ShortOp]int64{
+		psder.OpPush: 4383, psder.OpPop: 40, psder.OpCall: 2863, psder.OpInterp: 3480,
+	}
+	if !maps.Equal(act.ShortOps, wantShort) {
+		t.Errorf("IU2 activity = %v, want %v", act.ShortOps, wantShort)
+	}
+	wantRoutines := map[psder.RoutineID]int64{
+		psder.RoutineLoadVar: 1102, psder.RoutineStoreVar: 162, psder.RoutineAdd: 240,
+		psder.RoutineSub: 80, psder.RoutineMul: 120, psder.RoutineMod: 135,
+		psder.RoutineEq: 175, psder.RoutineLt: 41, psder.RoutineSelectIfZero: 216,
+		psder.RoutineCall: 295, psder.RoutineReturn: 40, psder.RoutineReturnValue: 255,
+		psder.RoutinePrint: 1, psder.RoutineHalt: 1,
+	}
+	if !maps.Equal(act.Routines, wantRoutines) {
+		t.Errorf("IU1 activity = %v, want %v", act.Routines, wantRoutines)
 	}
 	text := RenderFigure3(act)
 	for _, want := range []string{"Figure 3", "IU1", "IU2", "INTERP", "level-2 memory"} {

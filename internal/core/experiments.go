@@ -235,13 +235,16 @@ func (e Engine) Figure3(ctx context.Context, workloadName string, cfg Config) (*
 		return nil, err
 	}
 	dp := art.DIR
-	// Drive the host machine directly so IU1/IU2 activity can be captured,
-	// then run the simulator for the memory-system numbers.
+	// Drive the host machine directly, counting IU2's short-format
+	// instructions and IU1's routine calls over the executed prefix of each
+	// sequence, then run the simulator for the memory-system numbers.
 	machine := host.New(dp, host.Options{})
 	seqs, err := translate.TranslateProgram(dp)
 	if err != nil {
 		return nil, err
 	}
+	shortOps := make(map[psder.ShortOp]int64)
+	routines := make(map[psder.RoutineID]int64)
 	pc := dp.Procs[0].Entry
 	var instructions int64
 	for {
@@ -250,6 +253,12 @@ func (e Engine) Figure3(ctx context.Context, workloadName string, cfg Config) (*
 			return nil, err
 		}
 		instructions++
+		for _, in := range seqs[pc][:res.ShortInstrs] {
+			shortOps[in.Op]++
+			if in.Op == psder.OpCall {
+				routines[in.Routine()]++
+			}
+		}
 		if res.Halted {
 			break
 		}
@@ -259,12 +268,18 @@ func (e Engine) Figure3(ctx context.Context, workloadName string, cfg Config) (*
 	if err != nil {
 		return nil, err
 	}
+	// The activity counted here and the cycles reported below must describe
+	// the same run.
+	if instructions != rep.Instructions {
+		return nil, fmt.Errorf("core: figure3 %s: host machine executed %d DIR instructions, the %v simulation %d",
+			workloadName, instructions, WithDTB, rep.Instructions)
+	}
 	return &Figure3Activity{
 		Workload:        workloadName,
 		Strategy:        WithDTB,
 		Instructions:    rep.Instructions,
-		ShortOps:        machine.ShortOpActivity(),
-		Routines:        machine.RoutineActivity(),
+		ShortOps:        shortOps,
+		Routines:        routines,
 		Level1Refs:      rep.Memory.Level1Refs,
 		Level2Refs:      rep.Memory.Level2Refs,
 		BufferRefs:      rep.Memory.BufferRefs,

@@ -943,8 +943,7 @@ func (c *CompiledProgram) RunTraced(m *MachineState, maxInstrs int64, maxDepth i
 
 // Execute compiles nothing further: it runs the compiled program on a fresh
 // machine state, returning the same observables as the reference interpreter
-// (Execute) so the two can be differentially compared.  OpcodeCounts is not
-// populated — the compiled form dispatches superinstructions, not opcodes.
+// (Execute) so the two can be differentially compared.
 func (c *CompiledProgram) Execute(opts ExecOptions) (*ExecResult, error) {
 	m := NewMachineState(c.prog)
 	stats, err := c.Run(m, opts.MaxSteps, opts.MaxDepth)

@@ -53,8 +53,6 @@ type ExecResult struct {
 	// Executed is the number of DIR instructions executed (the dynamic
 	// instruction count).
 	Executed int64
-	// OpcodeCounts is the dynamic opcode mix.
-	OpcodeCounts map[Opcode]int64
 }
 
 // Execute runs the program on the reference DIR interpreter.
@@ -69,7 +67,7 @@ func Execute(p *Program, opts ExecOptions) (*ExecResult, error) {
 		opts.MaxDepth = DefaultExecOptions().MaxDepth
 	}
 	m := NewMachineState(p)
-	res := &ExecResult{OpcodeCounts: make(map[Opcode]int64)}
+	res := &ExecResult{}
 	pc := p.Procs[0].Entry
 	for {
 		if res.Executed >= opts.MaxSteps {
@@ -80,7 +78,6 @@ func Execute(p *Program, opts ExecOptions) (*ExecResult, error) {
 		}
 		in := p.Instrs[pc]
 		res.Executed++
-		res.OpcodeCounts[in.Op]++
 		next, halted, err := m.Step(in, pc, opts.MaxDepth)
 		if err != nil {
 			return nil, err

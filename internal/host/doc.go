@@ -6,5 +6,6 @@
 // the paper's parameter x per DIR instruction, but it charges no memory-fetch
 // cost — where the short-format words and the DIR bits come from (DTB, cache
 // or level-2 memory) is the simulator's concern, because that placement is
-// precisely what the three organisations of §7 vary.
+// precisely what the three organisations of §7 vary.  Nor does it count
+// activity per op; core.Figure3 does, over each sequence's executed prefix.
 package host

@@ -41,11 +41,9 @@ type StepResult struct {
 	// the paper's parameter x.
 	SemanticCycles int64
 	// ShortInstrs is the number of short-format instructions issued (IU2
-	// activity).
+	// activity): the sequence's executed prefix, which stops short of the
+	// end when a CALL halts the program.
 	ShortInstrs int
-	// RoutineCalls is the number of semantic routines executed (IU1
-	// activations).
-	RoutineCalls int
 }
 
 // Machine is the run-time half of the UHM: the operand and activation stacks
@@ -55,10 +53,6 @@ type Machine struct {
 	state  *dir.MachineState
 	opts   Options
 	halted bool
-
-	// Per-routine execution counts, for the activity report of Figure 3.
-	routineCalls map[psder.RoutineID]int64
-	shortIssued  map[psder.ShortOp]int64
 }
 
 // New creates a machine positioned at the start of the program's main
@@ -68,25 +62,21 @@ func New(prog *dir.Program, opts Options) *Machine {
 		opts.MaxDepth = DefaultOptions().MaxDepth
 	}
 	return &Machine{
-		prog:         prog,
-		state:        dir.NewMachineState(prog),
-		opts:         opts,
-		routineCalls: make(map[psder.RoutineID]int64),
-		shortIssued:  make(map[psder.ShortOp]int64),
+		prog:  prog,
+		state: dir.NewMachineState(prog),
+		opts:  opts,
 	}
 }
 
 // Halted reports whether the program has finished.
 func (m *Machine) Halted() bool { return m.halted }
 
-// Reset rewinds the machine to the start of the program, retaining every
-// allocation (run-time state buffers, activity-count maps) so a replayed run
-// performs no steady-state allocation.
+// Reset rewinds the machine to the start of the program, retaining the
+// run-time state buffers so a replayed run performs no steady-state
+// allocation.
 func (m *Machine) Reset() {
 	m.halted = false
 	m.state.Reset()
-	clear(m.routineCalls)
-	clear(m.shortIssued)
 }
 
 // Output returns the program output so far.
@@ -94,25 +84,6 @@ func (m *Machine) Output() []int64 { return m.state.Output() }
 
 // State exposes the underlying run-time state (for tests and diagnostics).
 func (m *Machine) State() *dir.MachineState { return m.state }
-
-// RoutineActivity returns the per-routine execution counts (IU1 activity).
-func (m *Machine) RoutineActivity() map[psder.RoutineID]int64 {
-	out := make(map[psder.RoutineID]int64, len(m.routineCalls))
-	for k, v := range m.routineCalls {
-		out[k] = v
-	}
-	return out
-}
-
-// ShortOpActivity returns per-opcode counts of short-format instructions
-// issued (IU2 activity).
-func (m *Machine) ShortOpActivity() map[psder.ShortOp]int64 {
-	out := make(map[psder.ShortOp]int64, len(m.shortIssued))
-	for k, v := range m.shortIssued {
-		out[k] = v
-	}
-	return out
-}
 
 // ExecSequence executes one PSDER sequence to completion.
 func (m *Machine) ExecSequence(seq psder.Sequence) (StepResult, error) {
@@ -123,7 +94,6 @@ func (m *Machine) ExecSequence(seq psder.Sequence) (StepResult, error) {
 	for _, in := range seq {
 		res.ShortInstrs++
 		res.SemanticCycles++ // IU2 issues one short-format instruction
-		m.shortIssued[in.Op]++
 		switch in.Op {
 		case psder.OpPush:
 			m.state.Push(int64(in.Arg))
@@ -134,7 +104,6 @@ func (m *Machine) ExecSequence(seq psder.Sequence) (StepResult, error) {
 			}
 
 		case psder.OpCall:
-			res.RoutineCalls++
 			cost, err := m.execRoutine(in.Routine())
 			res.SemanticCycles += cost
 			if err != nil {
@@ -173,7 +142,6 @@ func (m *Machine) ExecSequence(seq psder.Sequence) (StepResult, error) {
 // returns its cost in level-1 cycles (base cost plus dynamic extras such as
 // static-link hops and argument transfers).
 func (m *Machine) execRoutine(r psder.RoutineID) (int64, error) {
-	m.routineCalls[r]++
 	cost := int64(r.BaseCost())
 	st := m.state
 

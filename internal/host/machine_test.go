@@ -134,19 +134,11 @@ func TestMachineMatchesReferenceInterpreters(t *testing.T) {
 	}
 }
 
-func TestMachineSemanticCyclesPositiveAndActivityRecorded(t *testing.T) {
+func TestMachineSemanticCyclesPositive(t *testing.T) {
 	dp := compile.MustCompile(hlr.MustParse(machineSources["fib"]), compile.LevelStack)
 	_, m, cycles := runOnMachine(t, dp)
 	if cycles <= 0 {
 		t.Error("semantic cycles should accumulate")
-	}
-	activity := m.RoutineActivity()
-	if activity[psder.RoutineCall] == 0 || activity[psder.RoutineAdd] == 0 {
-		t.Errorf("routine activity = %v", activity)
-	}
-	short := m.ShortOpActivity()
-	if short[psder.OpPush] == 0 || short[psder.OpCall] == 0 || short[psder.OpInterp] == 0 {
-		t.Errorf("short-op activity = %v", short)
 	}
 	if !m.Halted() {
 		t.Error("machine should be halted after the program ends")
@@ -173,6 +165,32 @@ func TestExecSequenceAfterHalt(t *testing.T) {
 	}
 	if _, err := m.ExecSequence(seqs[0]); !errors.Is(err, ErrHalted) {
 		t.Errorf("err = %v, want ErrHalted", err)
+	}
+}
+
+// A CALL that halts the program ends its sequence early: ShortInstrs counts
+// the executed prefix only, so a caller can attribute IU1/IU2 activity from
+// seq[:ShortInstrs].
+func TestExecSequenceHaltingCallCountsExecutedPrefix(t *testing.T) {
+	dp := compile.MustCompile(hlr.MustParse("program p; begin print 1 end."), compile.LevelStack)
+	m := New(dp, Options{})
+	seq := psder.Sequence{
+		psder.Push(7), psder.Call(psder.RoutinePrint), psder.Call(psder.RoutineHalt),
+		psder.Push(1), psder.InterpImm(0),
+	}
+	res, err := m.ExecSequence(seq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Halted || res.ShortInstrs != 3 {
+		t.Errorf("halted=%v shortInstrs=%d, want true 3", res.Halted, res.ShortInstrs)
+	}
+	want := int64(3 + psder.RoutinePrint.BaseCost() + psder.RoutineHalt.BaseCost())
+	if res.SemanticCycles != want {
+		t.Errorf("semantic cycles = %d, want %d (the executed prefix only)", res.SemanticCycles, want)
+	}
+	if got := m.Output(); !reflect.DeepEqual(got, []int64{7}) {
+		t.Errorf("output = %v, want [7]", got)
 	}
 }
 
