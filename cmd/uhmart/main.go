@@ -12,23 +12,23 @@
 // PREFIX selects containers by hex source-hash prefix; no prefix selects all.
 // A bundle is a plain concatenation of containers, so bundles can themselves
 // be concatenated.  Every import re-verifies each container's content hash
-// before it is admitted; verify goes further and re-encodes each stored
-// binary from its DIR program, proving bit identity — the decode tables a
-// rehydrating process rebuilds will walk exactly the bits the writing
-// process measured.
+// before it is admitted; verify goes further and records each stored trace
+// afresh from its DIR program, proving that the trace a warm start adopts
+// without executing the program is the one this build would record and
+// price.
 package main
 
 import (
-	"bytes"
 	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
-	"uhm/internal/dir"
+	"uhm/internal/core"
 	"uhm/internal/store"
 )
 
@@ -163,9 +163,9 @@ func cmdVerify(args []string, out io.Writer) error {
 }
 
 // verifyEntry checks one container end to end: the content hash and
-// structure (Decode), the rehydration path (Artifact), and bit identity —
-// each stored binary must equal a fresh encode of its DIR program, byte for
-// byte, which pins the determinism the rehydration fast path relies on.
+// structure (Decode), the rehydration path (Artifact), and the stored trace,
+// which must equal a fresh recording at the default degree — PCs, output,
+// peak depth, semantic cycles and compiled statistics.
 func verifyEntry(st *store.Store, e store.Entry) error {
 	data, err := st.GetRaw(e.Hash, e.Level)
 	if err != nil {
@@ -175,17 +175,26 @@ func verifyEntry(st *store.Store, e store.Entry) error {
 	if err != nil {
 		return err
 	}
-	if _, err := img.Artifact(); err != nil {
+	art, err := img.Artifact()
+	if err != nil {
 		return fmt.Errorf("rehydrate: %w", err)
 	}
-	for _, bin := range img.Snap.Binaries {
-		fresh, err := dir.Encode(img.Snap.DIR, bin.Degree)
-		if err != nil {
-			return fmt.Errorf("re-encode degree %v: %w", bin.Degree, err)
-		}
-		if fresh.SizeBits() != bin.SizeBits() || !bytes.Equal(fresh.Bytes(), bin.Bytes()) {
-			return fmt.Errorf("degree %v: stored bits differ from a fresh encode", bin.Degree)
-		}
+	stored := img.Snap.Trace
+	if stored == nil {
+		return nil
+	}
+	pp, err := art.Predecoded(core.DefaultConfig().Degree)
+	if err != nil {
+		return fmt.Errorf("predecode: %w", err)
+	}
+	fresh, err := pp.RecordTrace()
+	if err != nil {
+		return fmt.Errorf("record trace: %w", err)
+	}
+	if !slices.Equal(fresh.PCs, stored.PCs) || !slices.Equal(fresh.Output, stored.Output) ||
+		fresh.PeakDepth != stored.PeakDepth || fresh.SemanticCycles != stored.SemanticCycles ||
+		fresh.Compiled != stored.Compiled {
+		return fmt.Errorf("stored trace differs from a fresh recording")
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,6 +112,35 @@ func TestVerify(t *testing.T) {
 	}
 	if !strings.Contains(out, "FAIL") {
 		t.Fatalf("verify output lacks FAIL line:\n%s", out)
+	}
+}
+
+// TestVerifyRejectsAlteredTrace: a container that verifies by hash but whose
+// trace disagrees with a fresh recording — the trace a warm start would adopt
+// without executing — fails verify, and the FAIL line names the container.
+func TestVerifyRejectsAlteredTrace(t *testing.T) {
+	dir, key := populatedStore(t)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := st.Get(key, core.LevelStack)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, tr := *img.Snap, *img.Snap.Trace
+	tr.Output = slices.Clone(tr.Output)
+	tr.Output[0]++
+	snap.Trace = &tr
+	if err := st.Put(&snap, img.Source); err != nil {
+		t.Fatal(err)
+	}
+	out, err := runCmd(t, "verify", "-store", dir)
+	if err == nil {
+		t.Fatalf("verify accepted an altered trace:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL  "+hex.EncodeToString(key[:])[:16]) || !strings.Contains(out, "trace") {
+		t.Fatalf("verify output does not name the container's trace:\n%s", out)
 	}
 }
 

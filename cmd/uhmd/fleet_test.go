@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"uhm/internal/core"
 	"uhm/internal/router"
 	"uhm/internal/service"
 	"uhm/internal/wire"
@@ -16,7 +17,9 @@ import (
 // newTestFleet assembles a real in-process fleet: n service-backed uhmd
 // handlers behind a router, plus a local fallback service.  This is the
 // integration twin of the CI multi-backend smoke.
-func newTestFleet(t *testing.T, n int) (*httptest.Server, []*service.Service, *router.Router) {
+// It returns the router's front server, the backends' services and their
+// addresses, index for index.
+func newTestFleet(t *testing.T, n int) (*httptest.Server, []*service.Service, []string) {
 	t.Helper()
 	var addrs []string
 	var svcs []*service.Service
@@ -35,42 +38,44 @@ func newTestFleet(t *testing.T, n int) (*httptest.Server, []*service.Service, *r
 	})
 	front := httptest.NewServer(rt)
 	t.Cleanup(front.Close)
-	return front, svcs, rt
+	return front, svcs, addrs
 }
 
 // TestFleetSingleBuildInvariant: through the router, every distinct program
-// is built on exactly one backend, however many times and from however many
-// clients it is requested — the fleet-wide form of the registry's
-// build-once guarantee.
+// is built exactly once, on the backend the ring places it on, however many
+// times and from however many clients it is requested — the fleet-wide form
+// of the registry's build-once guarantee.
 func TestFleetSingleBuildInvariant(t *testing.T) {
-	front, svcs, _ := newTestFleet(t, 2)
+	front, svcs, addrs := newTestFleet(t, 2)
 
-	const programs = 12
+	// httptest picks random ports and the ring hashes those addresses, so
+	// predict each program's owner and add programs until every backend owns
+	// at least one: the ring then splits the key space by construction.
+	ring := router.NewRing(addrs, router.DefaultVnodes)
+	owned := make(map[string]int64)
+	var srcs []string
+	for i := 0; i < 12 || len(owned) < len(addrs); i++ {
+		src := fmt.Sprintf("program p%d; var x; begin x := %d; print x end.", i, i)
+		srcs = append(srcs, src)
+		owned[ring.Owners(service.KeyOf(src, core.LevelStack))[0]]++
+	}
 	for round := 0; round < 3; round++ {
-		for i := 0; i < programs; i++ {
-			body := fmt.Sprintf(`{"source":"program p%d; var x; begin x := %d; print x end.","strategy":"dtb"}`, i, i)
-			status, data := postJSON(t, front.URL+"/v1/run", body)
+		for i, src := range srcs {
+			status, data := postJSON(t, front.URL+"/v1/run", `{"source":"`+src+`","strategy":"dtb"}`)
 			if status != http.StatusOK {
 				t.Fatalf("round %d run %d: status %d: %s", round, i, status, data)
 			}
 		}
 	}
 
-	var totalBuilds int64
 	for i, svc := range svcs {
 		st := svc.Stats()
 		if st.Registry.BuildErrors != 0 {
 			t.Fatalf("backend %d build errors: %+v", i, st.Registry)
 		}
-		totalBuilds += st.Registry.Builds
-	}
-	if totalBuilds != programs {
-		t.Fatalf("fleet built %d artifacts for %d distinct programs", totalBuilds, programs)
-	}
-	// Both backends took a share (the ring actually split the key space).
-	for i, svc := range svcs {
-		if svc.Stats().Registry.Builds == 0 {
-			t.Fatalf("backend %d built nothing — placement degenerate", i)
+		if want := owned[addrs[i]]; st.Registry.Builds != want {
+			t.Fatalf("backend %d built %d artifacts; the ring places %d of the %d programs on it",
+				i, st.Registry.Builds, want, len(srcs))
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -74,13 +73,11 @@ type Artifact struct {
 	HLR   *hlr.Program
 	DIR   *dir.Program
 
-	// bins holds encoded forms rehydrated from a persisted snapshot, keyed
-	// by degree; Predecoded consumes them instead of re-encoding.  tr is the
-	// rehydrated canonical execution trace, adopted by every predecoded form
-	// so warm-started artifacts derive reports without re-executing.  Both
-	// are immutable after Rehydrate and nil on freshly built artifacts.
-	bins map[Degree]*dir.Binary
-	tr   *trace.Trace
+	// tr is the canonical execution trace rehydrated from a persisted
+	// snapshot, adopted by every predecoded form so warm-started artifacts
+	// derive reports without re-executing.  It is immutable after Rehydrate
+	// and nil on freshly built artifacts.
+	tr *trace.Trace
 
 	preMu sync.Mutex
 	pre   map[Degree]*predecodeEntry
@@ -114,11 +111,7 @@ func (a *Artifact) Predecoded(degree Degree) (*sim.PredecodedProgram, error) {
 	}
 	a.preMu.Unlock()
 	e.once.Do(func() {
-		if bin, ok := a.bins[degree]; ok {
-			e.pp, e.err = sim.PredecodeBinary(bin)
-		} else {
-			e.pp, e.err = sim.Predecode(a.DIR, degree)
-		}
+		e.pp, e.err = sim.Predecode(a.DIR, degree)
 		if e.err == nil && a.tr != nil {
 			e.pp.AdoptTrace(a.tr)
 		}
@@ -201,81 +194,59 @@ func (a *Artifact) Encode(degree Degree) (*dir.Binary, error) {
 func (a *Artifact) Disassemble() string { return a.DIR.Disassemble() }
 
 // Snapshot is the portable form of an Artifact: everything the binary
-// interchange container persists.  The DIR program is authoritative; the
-// encoded binaries and the trace are the cached binding work a loading
-// process gets back without re-paying it.  The closure-compiled form cannot
-// leave the process (it is Go closures), so only its footprint travels, as
-// metadata.
+// interchange container persists.  The DIR program is authoritative and the
+// trace is the one piece of binding work a loading process cannot redo
+// without executing the program; every encoded degree and the compiled form
+// are rebuilt from the DIR program on demand, exactly as a fresh artifact
+// builds them.
 type Snapshot struct {
 	Name  string
 	Level Level
 	DIR   *dir.Program
-	// Binaries are the encoded static representations cached so far, in
-	// ascending degree order (at most one per degree).
-	Binaries []*dir.Binary
 	// Trace is the canonical execution trace, when one has been recorded.
 	Trace *trace.Trace
-	// CompiledWords is the footprint of the closure-compiled form when it has
-	// been built — metadata only.
-	CompiledWords int
 }
 
 // Snapshot captures the artifact's persistable state: the DIR program plus
-// every encoded form and trace materialised so far.  It never triggers new
-// binding work — forms not yet built are simply absent — and is safe to call
-// concurrently with requests running on the artifact.
+// the trace if one has been recorded or adopted.  It never triggers a
+// recording and is safe to call concurrently with requests running on the
+// artifact.
 func (a *Artifact) Snapshot() *Snapshot {
-	s := &Snapshot{Name: a.Name, Level: a.Level, DIR: a.DIR}
-	bins := make(map[Degree]*dir.Binary, len(a.bins))
-	for d, bin := range a.bins {
-		bins[d] = bin
+	return &Snapshot{Name: a.Name, Level: a.Level, DIR: a.DIR, Trace: a.cachedTrace()}
+}
+
+// cachedTrace returns the rehydrated trace or the first one a predecoded
+// form has recorded, and nil when there is none.
+func (a *Artifact) cachedTrace() *trace.Trace {
+	if a.tr != nil {
+		return a.tr
 	}
-	s.Trace = a.tr
 	for _, pp := range a.CachedPredecoded() {
-		bins[pp.Degree()] = pp.Binary
-		if t := pp.CachedTrace(); t != nil && s.Trace == nil {
-			s.Trace = t
-		}
-		if w := pp.CachedCompiledWords(); w > s.CompiledWords {
-			s.CompiledWords = w
+		if t := pp.CachedTrace(); t != nil {
+			return t
 		}
 	}
-	for _, bin := range bins {
-		s.Binaries = append(s.Binaries, bin)
-	}
-	sort.Slice(s.Binaries, func(i, j int) bool { return s.Binaries[i].Degree < s.Binaries[j].Degree })
-	return s
+	return nil
 }
 
 // PersistableForms counts the forms a Snapshot taken now would carry: the
-// DIR program, each cached encoded degree, and the trace.  The registry's
-// write-through compares it against what it last persisted to decide whether
-// an artifact's container is worth rewriting, without building the snapshot.
+// DIR program, plus the trace once one exists.  The registry's write-through
+// compares it against what it last persisted to decide whether an artifact's
+// container is worth rewriting, without building the snapshot.
 func (a *Artifact) PersistableForms() int {
-	degrees := make(map[Degree]bool, len(a.bins))
-	for d := range a.bins {
-		degrees[d] = true
+	if a.cachedTrace() != nil {
+		return 2
 	}
-	forms := 1
-	traced := a.tr != nil
-	for _, pp := range a.CachedPredecoded() {
-		degrees[pp.Degree()] = true
-		traced = traced || pp.CachedTrace() != nil
-	}
-	forms += len(degrees)
-	if traced {
-		forms++
-	}
-	return forms
+	return 1
 }
 
 // Rehydrate rebuilds an Artifact from a persisted snapshot without re-running
 // the compiler: the HLR is re-parsed from the source text (the oracle and the
 // conformance paths need it), the DIR program is adopted as-is after
-// validation, and the cached encoded forms and trace are seeded so the
-// predecode chain resumes exactly where the persisting process left off.  A
-// snapshot whose trace references instructions outside the program is
-// rejected — a malformed container must never become a partial artifact.
+// validation, and the trace is seeded so every predecoded degree adopts it
+// instead of re-executing the program.  A snapshot whose trace references
+// instructions outside the program is rejected — a malformed container must
+// never become a partial artifact.
 func Rehydrate(snap *Snapshot, src string) (*Artifact, error) {
 	if snap == nil || snap.DIR == nil {
 		return nil, fmt.Errorf("core: rehydrate: snapshot has no DIR program")
@@ -288,18 +259,6 @@ func Rehydrate(snap *Snapshot, src string) (*Artifact, error) {
 		return nil, fmt.Errorf("core: rehydrate %s: parse: %w", snap.Name, err)
 	}
 	a := &Artifact{Name: snap.Name, Level: snap.Level, HLR: prog, DIR: snap.DIR}
-	if len(snap.Binaries) > 0 {
-		a.bins = make(map[Degree]*dir.Binary, len(snap.Binaries))
-		for _, bin := range snap.Binaries {
-			if bin == nil || bin.Program != snap.DIR {
-				return nil, fmt.Errorf("core: rehydrate %s: binary not built on the snapshot's program", snap.Name)
-			}
-			if _, dup := a.bins[bin.Degree]; dup {
-				return nil, fmt.Errorf("core: rehydrate %s: duplicate degree %v", snap.Name, bin.Degree)
-			}
-			a.bins[bin.Degree] = bin
-		}
-	}
 	if snap.Trace != nil {
 		for _, pc := range snap.Trace.PCs {
 			if pc < 0 || int(pc) >= len(snap.DIR.Instrs) {

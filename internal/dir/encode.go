@@ -348,18 +348,15 @@ func widthFor(max uint64) int {
 	return w
 }
 
-// prepareBinary builds everything about a Binary that is a deterministic
-// function of the program alone — the visibility caches, the flattened field
-// stream and the codebook with every decode table.  Encode follows it with
-// the bit-writing pass; RehydrateBinary instead adopts a previously written
-// (and hash-verified) payload, so a persisted artifact skips the write pass
-// without the decoder losing any of its tables.
-func prepareBinary(p *Program, degree Degree) (*Binary, *fieldStream, error) {
+// Encode emits the program at the given encoding degree: it builds the
+// visibility caches, the flattened field stream and the codebook with every
+// decode table, then writes each instruction's fields.
+func Encode(p *Program, degree Degree) (*Binary, error) {
 	if !degree.Valid() {
-		return nil, nil, fmt.Errorf("dir: invalid encoding degree %d", int(degree))
+		return nil, fmt.Errorf("dir: invalid encoding degree %d", int(degree))
 	}
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	contextual := degree != DegreePacked
 	bin := &Binary{Program: p, Degree: degree}
@@ -372,7 +369,7 @@ func prepareBinary(p *Program, degree Degree) (*Binary, *fieldStream, error) {
 	}
 	stats, err := collectFields(bin, contextual)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	book := &codebook{degree: degree}
@@ -386,7 +383,7 @@ func prepareBinary(p *Program, degree Degree) (*Binary, *fieldStream, error) {
 			}
 			code, err := stats.counts[c].Code()
 			if err != nil {
-				return nil, nil, fmt.Errorf("dir: building %s code: %w", fieldClass(c), err)
+				return nil, fmt.Errorf("dir: building %s code: %w", fieldClass(c), err)
 			}
 			book.huff[c] = code
 		}
@@ -396,26 +393,17 @@ func prepareBinary(p *Program, degree Degree) (*Binary, *fieldStream, error) {
 		ps.ObserveAll(stats.ops)
 		coder, err := pairfreq.NewCoder(ps, 0)
 		if err != nil {
-			return nil, nil, fmt.Errorf("dir: building pair-frequency opcode code: %w", err)
+			return nil, fmt.Errorf("dir: building pair-frequency opcode code: %w", err)
 		}
 		book.opPair = coder
 	}
 	bin.book = book
-	return bin, stats, nil
-}
-
-// Encode emits the program at the given encoding degree.
-func Encode(p *Program, degree Degree) (*Binary, error) {
-	bin, stats, err := prepareBinary(p, degree)
-	if err != nil {
-		return nil, err
-	}
 
 	w := bitio.NewWriter(len(p.Instrs) * 32)
 	offsets := make([]int, len(p.Instrs))
 	var pairEnc *pairfreq.Encoder
-	if bin.book.opPair != nil {
-		pairEnc = bin.book.opPair.NewEncoder()
+	if book.opPair != nil {
+		pairEnc = book.opPair.NewEncoder()
 	}
 	for idx, in := range p.Instrs {
 		offsets[idx] = w.Len()
@@ -429,43 +417,6 @@ func Encode(p *Program, degree Degree) (*Binary, error) {
 	bin.data = append([]byte(nil), w.Bytes()...)
 	bin.bitLen = w.Len()
 	bin.offsets = offsets
-	return bin, nil
-}
-
-// RehydrateBinary reconstructs a Binary from a persisted payload without
-// re-running the bit-writing pass: the decode tables are rebuilt
-// deterministically from the program (prepareBinary), and the stored bit
-// string, length and per-instruction offsets are adopted as-is.  Encode is
-// deterministic, so a payload it wrote always rehydrates to an identical
-// Binary; the caller is responsible for integrity (the store layer verifies
-// a content hash before handing payloads here), while this function enforces
-// the structural invariants — offset monotonicity, bit-length bounds, one
-// offset per instruction — so a malformed payload errors instead of
-// producing a Binary that panics downstream.
-func RehydrateBinary(p *Program, degree Degree, data []byte, bitLen int, offsets []int) (*Binary, error) {
-	bin, _, err := prepareBinary(p, degree)
-	if err != nil {
-		return nil, err
-	}
-	if len(offsets) != len(p.Instrs) {
-		return nil, fmt.Errorf("dir: rehydrate: %d offsets for %d instructions", len(offsets), len(p.Instrs))
-	}
-	if bitLen < 0 || bitLen > len(data)*8 {
-		return nil, fmt.Errorf("dir: rehydrate: bit length %d exceeds %d payload bytes", bitLen, len(data))
-	}
-	if len(data) != (bitLen+7)/8 {
-		return nil, fmt.Errorf("dir: rehydrate: %d payload bytes for bit length %d", len(data), bitLen)
-	}
-	prev := 0
-	for i, off := range offsets {
-		if off < prev || off > bitLen {
-			return nil, fmt.Errorf("dir: rehydrate: offset %d of instruction %d out of order or out of range", off, i)
-		}
-		prev = off
-	}
-	bin.data = append([]byte(nil), data...)
-	bin.bitLen = bitLen
-	bin.offsets = append([]int(nil), offsets...)
 	return bin, nil
 }
 

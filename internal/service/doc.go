@@ -12,7 +12,7 @@
 //     collapsed into one build (singleflight); completed artifacts are kept
 //     under a byte-accounted LRU budget, with hit/miss/eviction statistics.
 //     With a store attached (internal/store) it is two-tiered: builds and
-//     enrichments write containers through to disk, memory misses read
+//     recorded traces write containers through to disk, memory misses read
 //     through with verify-by-hash (corrupt containers degrade to clean
 //     rebuilds), and Warmstart preloads the hottest containers at startup.
 //   - Pool: warmed sim.Replayers keyed by (predecoded program, strategy,

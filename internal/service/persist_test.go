@@ -2,12 +2,14 @@ package service
 
 import (
 	"context"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"uhm/internal/core"
+	"uhm/internal/sim"
 	"uhm/internal/store"
 )
 
@@ -80,9 +82,9 @@ func TestWriteThroughAndDiskReadThrough(t *testing.T) {
 	}
 }
 
-// TestEnrichmentRePersists pins the Sync write-through: forms that
-// materialise after the build — a new degree, the recorded trace — grow the
-// container on disk, so a restart gets them back too.
+// TestEnrichmentRePersists pins the Sync write-through: the trace recorded
+// after the build grows the container on disk, so a restart gets it back,
+// while a new degree is rebuilt from the DIR and writes nothing.
 func TestEnrichmentRePersists(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -108,18 +110,28 @@ func TestEnrichmentRePersists(t *testing.T) {
 		t.Fatalf("%d containers, want the one re-persisted in place", entries)
 	}
 	if grownBytes <= baseBytes {
-		t.Fatalf("container did not grow with enrichment: %d -> %d bytes", baseBytes, grownBytes)
+		t.Fatalf("container did not grow with the trace: %d -> %d bytes", baseBytes, grownBytes)
+	}
+	if puts := svc.Registry().Stats().Disk.Puts; puts != 2 {
+		t.Fatalf("%d container writes, want 2 (build, then trace)", puts)
 	}
 
-	// The restarted process must see the enriched forms: running derives from
-	// the persisted trace without recording (PersistableForms counts it).
+	// The restarted process must see the trace: running derives from the
+	// persisted trace without recording (PersistableForms counts it).
 	svc2, _ := newStoreService(t, dir)
 	art2, err := svc2.Resolve(sourceReq("persisted", persistSrc, core.DefaultConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forms := art2.PersistableForms(); forms < 4 {
-		t.Fatalf("rehydrated artifact has %d persistable forms, want DIR + 2 degrees + trace", forms)
+	if forms := art2.PersistableForms(); forms != 2 {
+		t.Fatalf("rehydrated artifact has %d persistable forms, want DIR + trace", forms)
+	}
+	rep, err := svc2.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.Conventional)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Derived {
+		t.Fatal("restarted process did not derive from the persisted trace")
 	}
 	if svc2.Registry().Stats().Builds != 0 {
 		t.Fatal("enriched reload still rebuilt")
@@ -127,59 +139,78 @@ func TestEnrichmentRePersists(t *testing.T) {
 }
 
 // TestCorruptContainerDegradesToRebuild pins the robustness contract: a
-// corrupted container is detected by verify-by-hash, quietly dropped,
-// rebuilt from source, and replaced on disk — the request sees only a
-// correct answer, and the books stay exact.
+// corrupted container, or one written in the retired version-1 layout, is
+// refused by verify-by-hash or the version gate, quietly dropped, rebuilt
+// from source, and replaced on disk — the request sees only a correct
+// answer, and the books stay exact.
 func TestCorruptContainerDegradesToRebuild(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	cfg := core.DefaultConfig()
+	cases := []struct {
+		name    string
+		corrupt func(data []byte)
+	}{
+		{"flipped byte", func(d []byte) { d[len(d)/2] ^= 0x20 }},
+		{"version 1", func(d []byte) { binary.LittleEndian.PutUint32(d[4:8], 1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ctx := context.Background()
+			cfg := core.DefaultConfig()
 
-	svc1, _ := newStoreService(t, dir)
-	rep1, err := svc1.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
-	if err != nil {
-		t.Fatal(err)
-	}
+			svc1, _ := newStoreService(t, dir)
+			rep1, err := svc1.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Flip a byte in the container on disk.
-	files, err := filepath.Glob(filepath.Join(dir, "*.uhma"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("glob = %v, %v", files, err)
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x20
-	if err := os.WriteFile(files[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			files, err := filepath.Glob(filepath.Join(dir, "*.uhma"))
+			if err != nil || len(files) != 1 {
+				t.Fatalf("glob = %v, %v", files, err)
+			}
+			data, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(data)
+			if err := os.WriteFile(files[0], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	svc2, st2 := newStoreService(t, dir)
-	rep2, err := svc2.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
-	if err != nil {
-		t.Fatalf("request over corrupt container failed: %v", err)
-	}
-	if !slices.Equal(rep1.Output, rep2.Output) {
-		t.Fatalf("rebuild after corruption diverges: %v vs %v", rep2.Output, rep1.Output)
-	}
-	stats := svc2.Registry().Stats()
-	if stats.Builds != 1 {
-		t.Fatalf("%d builds, want 1 clean rebuild", stats.Builds)
-	}
-	if stats.Disk.VerifyFails != 1 {
-		t.Fatalf("disk stats = %+v, want 1 verify fail", stats.Disk)
-	}
-	// Write-through replaced the bad container: it verifies again.
-	good, err := st2.Get(KeyOf(persistSrc, core.LevelStack).Hash, core.LevelStack)
-	if err != nil {
-		t.Fatalf("container not replaced after rebuild: %v", err)
-	}
-	if good.Source != persistSrc {
-		t.Fatal("replaced container carries the wrong source")
-	}
-	if err := svc2.Registry().VerifyAccounting(); err != nil {
-		t.Fatal(err)
+			svc2, st2 := newStoreService(t, dir)
+			rep2, err := svc2.Run(ctx, sourceReq("persisted", persistSrc, cfg), core.WithDTB)
+			if err != nil {
+				t.Fatalf("request over bad container failed: %v", err)
+			}
+			if diff := sim.DiffReports(rep2, rep1); diff != "" {
+				t.Fatalf("rebuild after a bad container diverges: %s", diff)
+			}
+			stats := svc2.Registry().Stats()
+			if stats.Builds != 1 {
+				t.Fatalf("%d builds, want 1 clean rebuild", stats.Builds)
+			}
+			if stats.Disk.VerifyFails != 1 {
+				t.Fatalf("disk stats = %+v, want 1 verify fail", stats.Disk)
+			}
+			// Write-through replaced the bad container with a current-version
+			// one that verifies again.
+			good, err := st2.Get(KeyOf(persistSrc, core.LevelStack).Hash, core.LevelStack)
+			if err != nil {
+				t.Fatalf("container not replaced after rebuild: %v", err)
+			}
+			if good.Source != persistSrc {
+				t.Fatal("replaced container carries the wrong source")
+			}
+			data, err = os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := binary.LittleEndian.Uint32(data[4:8]); v != store.FormatVersion {
+				t.Fatalf("replaced container has version %d, want %d", v, store.FormatVersion)
+			}
+			if err := svc2.Registry().VerifyAccounting(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

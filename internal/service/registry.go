@@ -94,11 +94,11 @@ type Registry struct {
 	// pooled replayers built on the artifact's predecoded programs.
 	onEvict func(*core.Artifact)
 	// disk, if set, is the second tier: misses read through it before
-	// building, successful builds write through to it, and enrichment (new
-	// predecoded degrees, a recorded trace) re-persists on Sync.  Disk
-	// failures never surface to requests — a bad read or a corrupt container
-	// degrades to a clean rebuild, a failed write leaves the memory tier
-	// serving — so the tier adds durability without adding a failure mode.
+	// building, successful builds write through to it, and a recorded trace
+	// re-persists on Sync.  Disk failures never surface to requests — a bad
+	// read or a corrupt container degrades to a clean rebuild, a failed write
+	// leaves the memory tier serving — so the tier adds durability without
+	// adding a failure mode.
 	disk *store.Store
 
 	mu      sync.Mutex
@@ -171,8 +171,8 @@ func (r *Registry) Source(name, src string, level core.Level) (*core.Artifact, e
 	e.persisted = 0
 	if !built && err == nil {
 		// A disk-served artifact is already persisted in its loaded form;
-		// write-through would only rewrite identical bytes until enrichment
-		// materialises something new.
+		// write-through would only rewrite identical bytes until its trace is
+		// recorded.
 		e.persisted = art.PersistableForms()
 	}
 	var evicted []*core.Artifact
@@ -241,11 +241,11 @@ func (r *Registry) provide(key Key, name, src string, level core.Level) (art *co
 // maybePersist writes the entry's artifact through to the disk tier when its
 // persistable forms have grown past what the last container captured.  The
 // persisting flag serializes writers per entry; the forms count is captured
-// before the snapshot, so a concurrent enrichment at worst triggers one more
-// rewrite.  Growth is bounded — the DIR, each encoding degree, the trace —
-// so an artifact is rewritten a handful of times and then never again.  Put
-// failures are counted in the tier stats and otherwise ignored: the memory
-// tier keeps serving.
+// before the snapshot, so a trace recorded concurrently at worst triggers one
+// more write.  The forms are the DIR and the trace, so an entry's container
+// is written at most twice: at build and when the trace is first recorded.
+// Put failures are counted in the tier stats and otherwise ignored: the
+// memory tier keeps serving.
 func (r *Registry) maybePersist(e *regEntry) {
 	if r.disk == nil {
 		return
@@ -398,9 +398,8 @@ func (r *Registry) Sync(art *core.Artifact) {
 	}
 	r.mu.Unlock()
 	r.notifyEvicted(evicted)
-	// Enrichment write-through: a footprint that grew usually means a new
-	// predecoded degree or a freshly recorded trace — exactly the forms worth
-	// carrying across a restart.
+	// Trace write-through: a freshly recorded trace is the one form built
+	// after the DIR that is worth carrying across a restart.
 	r.maybePersist(e)
 }
 

@@ -75,9 +75,6 @@ func (r *Replayer) Derive() (*Report, error) {
 		return nil, fmt.Errorf("%w: trace peak depth %d, limit %d",
 			ErrNoTrace, tr.PeakDepth, r.cfg.MaxDepth)
 	}
-	if r.strategy == Compiled && !tr.HasCompiled {
-		return nil, fmt.Errorf("%w: trace was not recorded on the compiled backend", ErrNoTrace)
-	}
 
 	r.report = r.base
 	report := &r.report

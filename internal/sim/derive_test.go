@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"uhm/internal/compile"
@@ -202,6 +203,63 @@ func TestDeriveDoesNotAllocate(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: steady-state Derive allocates %.1f objects per run, want 0", strategy, allocs)
+		}
+	}
+}
+
+// TestUncompilableProgramIsSimulated: traces are recorded only on the
+// closure-compiled backend, so a program the compiler refuses has no trace.
+// Every interpretive organisation then serves it by full simulation, with the
+// same report and Derived false.
+func TestUncompilableProgramIsSimulated(t *testing.T) {
+	// The trailing PUSHC validates but falls off the end of the program, which
+	// the reference interpreter never reaches and dir.Compile refuses.
+	p := &dir.Program{
+		Name: "tail",
+		Instrs: []dir.Instruction{
+			{Op: dir.OpPushConst, Operands: []dir.Operand{dir.ImmOperand(7)}},
+			{Op: dir.OpPrint},
+			{Op: dir.OpHalt},
+			{Op: dir.OpPushConst, Operands: []dir.Operand{dir.ImmOperand(1)}},
+		},
+		Procs:    []dir.Proc{{Name: "main", Entry: 0, FrameSlots: 1}},
+		Contours: []dir.Contour{{Parent: 0}},
+		Level:    "hand",
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	pp, err := Predecode(p, cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, compileErr := pp.Compiled()
+	if compileErr == nil || !strings.Contains(compileErr.Error(), "falls off the end of the program") {
+		t.Fatalf("Compiled error = %v, want the fall-off-the-end refusal", compileErr)
+	}
+	if tr, err := pp.Trace(); tr != nil || err != compileErr {
+		t.Fatalf("Trace() = %v, %v; want no trace and the compile error", tr, err)
+	}
+	for _, strategy := range []Strategy{Conventional, WithDTB, WithCache, Expanded} {
+		r, err := NewReplayer(pp, strategy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simulated, err := r.Replay()
+		if err != nil {
+			t.Fatalf("%v: Replay: %v", strategy, err)
+		}
+		want := simulated.Clone()
+		got, err := r.ReplayDerived()
+		if err != nil {
+			t.Fatalf("%v: ReplayDerived: %v", strategy, err)
+		}
+		if got.Derived {
+			t.Errorf("%v: report derived from a trace the compiled backend never recorded", strategy)
+		}
+		if diff := DiffReports(got, want); diff != "" {
+			t.Errorf("%v: %s", strategy, diff)
 		}
 	}
 }

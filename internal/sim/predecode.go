@@ -207,22 +207,15 @@ func (pp *PredecodedProgram) CachedTrace() *trace.Trace {
 	return nil
 }
 
-// CachedCompiledWords returns the footprint in words of the closure-compiled
-// form if it has been built, and 0 otherwise — compiled-form metadata for the
-// persistence layer (closures themselves cannot be serialized).
-func (pp *PredecodedProgram) CachedCompiledWords() int {
-	return int(pp.compiledWords.Load())
-}
-
-// RecordTrace records a fresh execution trace without touching the cache —
-// the canonical execution runs on the closure-compiled backend when the
-// program compiles and on the reference DIR interpreter otherwise.  Most
-// callers want the cached Trace; this entry point exists for benchmarks and
-// tests that measure the recording itself.
+// RecordTrace records a fresh execution trace on the closure-compiled form
+// without touching the cache; a program that does not compile has no trace,
+// and RecordTrace returns the compile error.  Most callers want the cached
+// Trace; this entry point exists for benchmarks, tests and audits that
+// measure or re-check the recording itself.
 func (pp *PredecodedProgram) RecordTrace() (*trace.Trace, error) {
 	comp, err := pp.Compiled()
 	if err != nil {
-		comp = nil
+		return nil, err
 	}
 	def := DefaultConfig()
 	return trace.Record(pp.Program, comp, pp.seqs, def.MaxInstructions, def.MaxDepth)

@@ -3,13 +3,15 @@
 // content-addressed disk tier behind the in-memory registry.
 //
 // The paper's argument is that binding work should be paid once and amortised
-// across many executions.  PRs 5–7 amortised it across requests within one
-// process; this package amortises it across processes and machines.  A
-// container carries everything an artifact's chain has materialised — the
-// compiled DIR program, the encoded static representation at each degree, and
-// the recorded canonical execution trace — so a loading process resumes the
-// chain where the writing process left off: no parse, no compile, no encode,
-// no trace-recording run.
+// across many executions.  The service registry amortises it across requests
+// within one process; this package amortises it across processes and
+// machines.  Like Rau's UHM, which keeps a compact static representation and
+// rebuilds the dynamic one on demand, a container carries only what cannot be
+// cheaply rebuilt: the source text, the compiled DIR program and the recorded
+// canonical execution trace.  A loading process skips the DIR compiler and
+// the trace-recording run; every encoded degree and the closure-compiled
+// form are rebuilt from the DIR program on first use, exactly as a freshly
+// built artifact builds them.
 //
 // The container is defended in depth: a fixed header (magic, version, payload
 // length) gates format skew, a SHA-256 over the whole payload gates

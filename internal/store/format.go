@@ -11,7 +11,7 @@ import (
 	"uhm/internal/trace"
 )
 
-// The container layout, version 1.  All fixed-width integers are
+// The container layout, version 2.  All fixed-width integers are
 // little-endian; everything inside the payload is varint-coded.
 //
 //	offset  size  field
@@ -29,18 +29,19 @@ import (
 //	    nsections  uvarint
 //	    sections   {type uvarint, length uvarint, bytes}…
 //
-// Sections are written in canonical order — source, DIR, binaries by
-// ascending degree, trace, compiled metadata — but decoded positionally, so
-// order is not load-bearing.  The source and DIR sections are mandatory.
+// Sections are written in canonical order — source, DIR, trace — but decoded
+// positionally, so order is not load-bearing.  The source and DIR sections
+// are mandatory; each type appears at most once.  Encoded degrees and the
+// compiled form are not stored: a loading process rebuilds them from the DIR
+// program.  Any other format version is refused with ErrVersion, and the
+// registry rebuilds that artifact from source.
 const (
-	containerMagic  = "UHMA"
-	FormatVersion   = 1
-	headerBytes     = 4 + 4 + 4 + 8 + sha256.Size
-	secSource       = 1
-	secDIR          = 2
-	secBinary       = 3
-	secTrace        = 4
-	secCompiledMeta = 5
+	containerMagic = "UHMA"
+	FormatVersion  = 2
+	headerBytes    = 4 + 4 + 4 + 8 + sha256.Size
+	secSource      = 1
+	secDIR         = 2
+	secTrace       = 3
 )
 
 // The typed decode failures.  Every malformed container resolves to exactly
@@ -49,8 +50,8 @@ const (
 var (
 	// ErrBadMagic: the bytes are not a UHM artifact container at all.
 	ErrBadMagic = errors.New("store: bad magic (not a UHM artifact container)")
-	// ErrVersion: the container was written by a future (or unknown) format
-	// version this build cannot decode.
+	// ErrVersion: the container was written by a format version this build
+	// does not read — a future one, or version 1.
 	ErrVersion = errors.New("store: unsupported container version")
 	// ErrTruncated: the container ends before its declared structure does.
 	ErrTruncated = errors.New("store: truncated container")
@@ -182,20 +183,8 @@ func Encode(snap *core.Snapshot, src string) ([]byte, error) {
 		{secSource, []byte(src)},
 		{secDIR, marshalProgram(snap.DIR)},
 	}
-	for _, bin := range snap.Binaries {
-		data, err := marshalBinary(bin)
-		if err != nil {
-			return nil, err
-		}
-		sections = append(sections, section{secBinary, data})
-	}
 	if snap.Trace != nil {
 		sections = append(sections, section{secTrace, marshalTrace(snap.Trace)})
-	}
-	if snap.CompiledWords > 0 {
-		var w cwriter
-		w.u(uint64(snap.CompiledWords))
-		sections = append(sections, section{secCompiledMeta, w.buf})
 	}
 
 	var payload cwriter
@@ -303,11 +292,7 @@ func decodePayload(payload []byte) (*Image, error) {
 		return nil, err
 	}
 
-	type section struct {
-		typ  uint64
-		data []byte
-	}
-	sections := make([]section, 0, nsec)
+	var sections [secTrace + 1][]byte
 	for i := 0; i < nsec; i++ {
 		typ, err := r.u()
 		if err != nil {
@@ -324,72 +309,38 @@ func decodePayload(payload []byte) (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		sections = append(sections, section{typ, data})
+		if typ == 0 || typ > secTrace {
+			return nil, fmt.Errorf("%w: unknown section type %d", ErrCorrupt, typ)
+		}
+		if sections[typ] != nil {
+			return nil, fmt.Errorf("%w: duplicate section of type %d", ErrCorrupt, typ)
+		}
+		sections[typ] = data
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("%w: %d bytes of payload after the last section", ErrCorrupt, r.remaining())
 	}
 
-	// Mandatory sections first: source (which must match the recorded content
-	// address) and the DIR program the remaining sections hang off.
-	var seen [secCompiledMeta + 1]int
-	for _, s := range sections {
-		if s.typ == 0 || s.typ > secCompiledMeta {
-			return nil, fmt.Errorf("%w: unknown section type %d", ErrCorrupt, s.typ)
-		}
-		seen[s.typ]++
-		switch s.typ {
-		case secSource:
-			img.Source = string(s.data)
-		case secDIR:
-			img.Snap.DIR, err = unmarshalProgram(s.data)
-			if err != nil {
-				return nil, err
-			}
+	// The source must match the recorded content address, and the DIR
+	// program is what the trace's pcs index.
+	for _, typ := range []int{secSource, secDIR} {
+		if sections[typ] == nil {
+			return nil, fmt.Errorf("%w: missing mandatory section type %d", ErrCorrupt, typ)
 		}
 	}
-	for typ, n := range seen {
-		if typ == secSource || typ == secDIR {
-			if n == 0 {
-				return nil, fmt.Errorf("%w: missing mandatory section type %d", ErrCorrupt, typ)
-			}
-		}
-		if n > 1 && typ != secBinary {
-			return nil, fmt.Errorf("%w: %d sections of type %d, want at most one", ErrCorrupt, n, typ)
-		}
-	}
-	if sum := sha256.Sum256([]byte(img.Source)); sum != img.SourceHash {
+	img.Source = string(sections[secSource])
+	if sum := sha256.Sum256(sections[secSource]); sum != img.SourceHash {
 		return nil, fmt.Errorf("%w: source text does not match its recorded content address", ErrHashMismatch)
+	}
+	if img.Snap.DIR, err = unmarshalProgram(sections[secDIR]); err != nil {
+		return nil, err
 	}
 	if err := img.Snap.DIR.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-
-	// Dependent sections: encoded binaries rehydrate against the DIR program,
-	// the trace is range-checked against it at Rehydrate time.
-	for _, s := range sections {
-		switch s.typ {
-		case secBinary:
-			bin, err := unmarshalBinaryInto(img.Snap.DIR, s.data)
-			if err != nil {
-				return nil, err
-			}
-			for _, prev := range img.Snap.Binaries {
-				if prev.Degree == bin.Degree {
-					return nil, fmt.Errorf("%w: duplicate binary section for degree %v", ErrCorrupt, bin.Degree)
-				}
-			}
-			img.Snap.Binaries = append(img.Snap.Binaries, bin)
-		case secTrace:
-			img.Snap.Trace, err = unmarshalTrace(s.data, len(img.Snap.DIR.Instrs))
-			if err != nil {
-				return nil, err
-			}
-		case secCompiledMeta:
-			mr := &creader{buf: s.data}
-			if img.Snap.CompiledWords, err = mr.num(); err != nil {
-				return nil, err
-			}
+	if sections[secTrace] != nil {
+		if img.Snap.Trace, err = unmarshalTrace(sections[secTrace], len(img.Snap.DIR.Instrs)); err != nil {
+			return nil, err
 		}
 	}
 	return img, nil
@@ -577,94 +528,17 @@ func unmarshalProgram(data []byte) (*dir.Program, error) {
 	return p, nil
 }
 
-// marshalBinary persists one encoded degree: the degree tag, the bit length,
-// the per-instruction bit offsets (delta-coded) and the raw bit string.  The
-// decode tables are NOT stored — they are a deterministic function of the
-// program and are rebuilt on rehydration (dir.RehydrateBinary), so the
-// format cannot drift from the decoder.
-func marshalBinary(bin *dir.Binary) ([]byte, error) {
-	var w cwriter
-	w.u(uint64(bin.Degree))
-	w.u(uint64(bin.SizeBits()))
-	n := bin.NumInstrs()
-	w.u(uint64(n))
-	prev := 0
-	for i := 0; i < n; i++ {
-		off, _, err := bin.InstrBitRange(i)
-		if err != nil {
-			return nil, fmt.Errorf("store: encode binary: %w", err)
-		}
-		w.u(uint64(off - prev))
-		prev = off
-	}
-	data := bin.Bytes()
-	w.u(uint64(len(data)))
-	w.raw(data)
-	return w.buf, nil
-}
-
-func unmarshalBinaryInto(p *dir.Program, data []byte) (*dir.Binary, error) {
-	r := &creader{buf: data}
-	dv, err := r.u()
-	if err != nil {
-		return nil, err
-	}
-	degree := dir.Degree(dv)
-	if !degree.Valid() {
-		return nil, fmt.Errorf("%w: invalid encoding degree %d", ErrCorrupt, dv)
-	}
-	bitLen, err := r.num()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	offsets := make([]int, n)
-	prev := 0
-	for i := range offsets {
-		d, err := r.num()
-		if err != nil {
-			return nil, err
-		}
-		prev += d
-		offsets[i] = prev
-	}
-	dataLen, err := r.count(1)
-	if err != nil {
-		return nil, err
-	}
-	bits, err := r.take(dataLen)
-	if err != nil {
-		return nil, err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the binary section", ErrCorrupt, r.remaining())
-	}
-	bin, err := dir.RehydrateBinary(p, degree, bits, bitLen, offsets)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return bin, nil
-}
-
-// marshalTrace persists the canonical execution trace: the dynamic pc stream
-// (zigzag delta-coded — branches jump backwards), the observable output, the
-// activation-stack high-water mark, the priced semantic cost, and the
-// compiled backend's statistics when the recording ran there.
+// marshalTrace persists the canonical execution trace: the activation-stack
+// high-water mark, the priced semantic cost, the compiled backend's
+// statistics, the dynamic pc stream (zigzag delta-coded — branches jump
+// backwards) and the observable output.
 func marshalTrace(t *trace.Trace) []byte {
 	var w cwriter
 	w.u(uint64(t.PeakDepth))
 	w.u(uint64(t.SemanticCycles))
-	if t.HasCompiled {
-		w.u(1)
-		w.u(uint64(t.Compiled.Instructions))
-		w.u(uint64(t.Compiled.SemanticCost))
-		w.u(uint64(t.Compiled.Fetches))
-	} else {
-		w.u(0)
-	}
+	w.u(uint64(t.Compiled.Instructions))
+	w.u(uint64(t.Compiled.SemanticCost))
+	w.u(uint64(t.Compiled.Fetches))
 	w.u(uint64(len(t.PCs)))
 	prev := int64(0)
 	for _, pc := range t.PCs {
@@ -685,30 +559,12 @@ func unmarshalTrace(data []byte, ninstrs int) (*trace.Trace, error) {
 	if t.PeakDepth, err = r.num(); err != nil {
 		return nil, err
 	}
-	cycles, err := r.u()
-	if err != nil {
-		return nil, err
-	}
-	t.SemanticCycles = int64(cycles)
-	hc, err := r.u()
-	if err != nil {
-		return nil, err
-	}
-	switch hc {
-	case 0:
-	case 1:
-		t.HasCompiled = true
-		vals := [3]int64{}
-		for i := range vals {
-			v, err := r.u()
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = int64(v)
+	for _, field := range []*int64{&t.SemanticCycles, &t.Compiled.Instructions, &t.Compiled.SemanticCost, &t.Compiled.Fetches} {
+		v, err := r.u()
+		if err != nil {
+			return nil, err
 		}
-		t.Compiled.Instructions, t.Compiled.SemanticCost, t.Compiled.Fetches = vals[0], vals[1], vals[2]
-	default:
-		return nil, fmt.Errorf("%w: trace compiled marker %d", ErrCorrupt, hc)
+		*field = int64(v)
 	}
 	npcs, err := r.count(1)
 	if err != nil {

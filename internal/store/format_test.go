@@ -27,25 +27,17 @@ begin
   print sum
 end.`
 
-// enrichedArtifact builds testSrc and materialises every persistable form:
-// all encoding degrees, the canonical trace, and the compiled form.
+// enrichedArtifact builds testSrc and records its canonical trace, the one
+// persistable form beyond the DIR program.
 func enrichedArtifact(t testing.TB, level core.Level) *core.Artifact {
 	t.Helper()
 	art, err := core.BuildSource("persist", testSrc, level)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range core.Degrees() {
-		if _, err := art.Predecoded(d); err != nil {
-			t.Fatalf("predecode %v: %v", d, err)
-		}
-	}
 	pp, err := art.Predecoded(core.DefaultConfig().Degree)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := pp.Compiled(); err != nil {
-		t.Fatalf("compile: %v", err)
 	}
 	if _, err := pp.Trace(); err != nil {
 		t.Fatalf("trace: %v", err)
@@ -56,11 +48,8 @@ func enrichedArtifact(t testing.TB, level core.Level) *core.Artifact {
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	art := enrichedArtifact(t, core.LevelStack)
 	snap := art.Snapshot()
-	if len(snap.Binaries) != len(core.Degrees()) {
-		t.Fatalf("snapshot has %d binaries, want %d", len(snap.Binaries), len(core.Degrees()))
-	}
-	if snap.Trace == nil || snap.CompiledWords == 0 {
-		t.Fatalf("snapshot missing trace (%v) or compiled metadata (%d)", snap.Trace, snap.CompiledWords)
+	if snap.Trace == nil {
+		t.Fatal("snapshot missing the recorded trace")
 	}
 
 	data, err := Encode(snap, testSrc)
@@ -77,25 +66,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if img.SourceHash != sha256.Sum256([]byte(testSrc)) {
 		t.Fatal("decoded source hash differs")
 	}
-	if img.Snap.CompiledWords != snap.CompiledWords {
-		t.Fatalf("compiled words %d, want %d", img.Snap.CompiledWords, snap.CompiledWords)
-	}
-	if len(img.Snap.Binaries) != len(snap.Binaries) {
-		t.Fatalf("%d binaries, want %d", len(img.Snap.Binaries), len(snap.Binaries))
-	}
-	for i, got := range img.Snap.Binaries {
-		want := snap.Binaries[i]
-		if got.Degree != want.Degree || got.SizeBits() != want.SizeBits() || !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("binary %d (degree %v) does not round-trip bit-identically", i, want.Degree)
-		}
-	}
 	gt, wt := img.Snap.Trace, snap.Trace
 	if gt == nil {
 		t.Fatal("trace did not round-trip")
 	}
 	if !slices.Equal(gt.PCs, wt.PCs) || !slices.Equal(gt.Output, wt.Output) ||
 		gt.PeakDepth != wt.PeakDepth || gt.SemanticCycles != wt.SemanticCycles ||
-		gt.HasCompiled != wt.HasCompiled || gt.Compiled != wt.Compiled {
+		gt.Compiled != wt.Compiled {
 		t.Fatal("trace fields do not round-trip")
 	}
 
@@ -179,6 +156,11 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"future version", func() []byte {
 			d := slices.Clone(valid)
 			binary.LittleEndian.PutUint32(d[4:8], FormatVersion+1)
+			return d
+		}(), ErrVersion},
+		{"version 1", func() []byte {
+			d := slices.Clone(valid)
+			binary.LittleEndian.PutUint32(d[4:8], 1)
 			return d
 		}(), ErrVersion},
 		{"reserved flags set", func() []byte {

@@ -29,12 +29,8 @@ type Trace struct {
 	// organisation executes the same PSDER sequences through the same
 	// semantic routines.
 	SemanticCycles int64
-	// HasCompiled reports that the trace was recorded on the closure-compiled
-	// backend, in which case Compiled carries that backend's cost accounting
-	// and the Compiled organisation's report can be derived too.
-	HasCompiled bool
-	// Compiled is the compiled backend's run statistics (valid only when
-	// HasCompiled is true).
+	// Compiled is the run statistics of the closure-compiled backend that
+	// recorded the trace, so the Compiled organisation's report derives too.
 	Compiled dir.CompiledRunStats
 }
 
@@ -47,26 +43,23 @@ func (t *Trace) SizeBytes() int {
 	return headerBytes + len(t.PCs)*4 + len(t.Output)*8
 }
 
-// Record executes the program once and returns its trace.  When comp is
-// non-nil the closure-compiled backend drives the run (and the trace carries
-// its cost statistics); otherwise the reference DIR interpreter does.
+// Record executes the program once on its closure-compiled form and returns
+// its trace, which carries the compiled backend's cost statistics.
 // maxInstrs and maxDepth bound the recording (≤0 selects the dir defaults);
 // an execution that fails — errors, exceeds a bound, or leaves the static
-// contour its costs were priced on — yields an error, never a partial trace.
+// contour its costs were priced on, which the compiled backend checks on
+// every up-level access — yields an error, never a partial trace.
 func Record(p *dir.Program, comp *dir.CompiledProgram, seqs []psder.Sequence, maxInstrs int64, maxDepth int) (*Trace, error) {
 	costs, err := SemCosts(p, seqs)
 	if err != nil {
 		return nil, err
 	}
-	var tr *Trace
-	if comp != nil {
-		tr, err = recordCompiled(p, comp, maxInstrs, maxDepth)
-	} else {
-		tr, err = recordReference(p, maxInstrs, maxDepth)
-	}
+	m := dir.NewMachineState(p)
+	pcs, stats, err := comp.RunTraced(m, maxInstrs, maxDepth, make([]int32, 0, 4096))
 	if err != nil {
 		return nil, err
 	}
+	tr := &Trace{PCs: pcs, Output: m.Output(), PeakDepth: m.PeakDepth(), Compiled: stats}
 	if len(tr.PCs) == 0 {
 		return nil, errors.New("trace: empty execution")
 	}
@@ -85,67 +78,6 @@ func Record(p *dir.Program, comp *dir.CompiledProgram, seqs []psder.Sequence, ma
 	}
 	tr.SemanticCycles = total
 	return tr, nil
-}
-
-// recordCompiled drives the closure-compiled backend, collecting the retired
-// pc stream.  Up-level addressing is verified against the static contour on
-// every access by the backend itself, so a successful run guarantees the
-// static semantic costs are the costs the host machine would have charged.
-func recordCompiled(p *dir.Program, comp *dir.CompiledProgram, maxInstrs int64, maxDepth int) (*Trace, error) {
-	m := dir.NewMachineState(p)
-	pcs, stats, err := comp.RunTraced(m, maxInstrs, maxDepth, make([]int32, 0, 4096))
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{
-		PCs:         pcs,
-		Output:      m.Output(),
-		PeakDepth:   m.PeakDepth(),
-		HasCompiled: true,
-		Compiled:    stats,
-	}, nil
-}
-
-// recordReference drives the reference DIR interpreter (the fallback when the
-// program does not compile).  The reference executor tolerates control flow
-// that leaves an instruction's static contour, but the static semantic costs
-// do not, so the recorder declines such programs instead of mispricing them.
-func recordReference(p *dir.Program, maxInstrs int64, maxDepth int) (*Trace, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if maxInstrs <= 0 {
-		maxInstrs = dir.DefaultExecOptions().MaxSteps
-	}
-	if maxDepth <= 0 {
-		maxDepth = dir.DefaultExecOptions().MaxDepth
-	}
-	m := dir.NewMachineState(p)
-	pcs := make([]int32, 0, 4096)
-	pc := p.Procs[0].Entry
-	for {
-		if int64(len(pcs)) >= maxInstrs {
-			return nil, fmt.Errorf("%w after %d instructions", dir.ErrStepLimit, len(pcs))
-		}
-		if pc < 0 || pc >= len(p.Instrs) {
-			return nil, fmt.Errorf("trace: program counter %d out of range", pc)
-		}
-		in := p.Instrs[pc]
-		if m.CurrentFrame().Proc != in.Contour {
-			return nil, fmt.Errorf("trace: pc %d executed outside its static contour (proc %d, contour %d)",
-				pc, m.CurrentFrame().Proc, in.Contour)
-		}
-		pcs = append(pcs, int32(pc))
-		next, halted, err := m.Step(in, pc, maxDepth)
-		if err != nil {
-			return nil, err
-		}
-		if halted {
-			break
-		}
-		pc = next
-	}
-	return &Trace{PCs: pcs, Output: m.Output(), PeakDepth: m.PeakDepth()}, nil
 }
 
 // SemCosts returns, for every DIR instruction, the host semantic cost of
