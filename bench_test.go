@@ -438,41 +438,6 @@ func BenchmarkTraceRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkDeriveReport measures the "cost many" half: streaming the recorded
-// trace through each organisation's cost model on a warm Replayer.  Against
-// BenchmarkReplaySteadyState this is the per-strategy speedup the tentpole
-// buys — no semantics re-run, just the DTB/cache state machines and the
-// per-pc cost tables.
-func BenchmarkDeriveReport(b *testing.B) {
-	dp := workload.MustCompileAt("loopsum", compile.LevelStack)
-	cfg := benchConfig()
-	pp, err := sim.Predecode(dp, cfg.Degree)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := pp.Trace(); err != nil { // record outside the timer
-		b.Fatal(err)
-	}
-	for _, strategy := range sim.Strategies() {
-		b.Run(strategy.String(), func(b *testing.B) {
-			rep, err := sim.NewReplayer(pp, strategy, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := rep.Derive(); err != nil { // warm-up
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rep.Derive(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCompileProgram measures dir.Compile throughput: the one-time cost
 // of lowering a workload to direct-threaded closures, the compiled
 // organisation's analogue of BenchmarkPredecode.
@@ -506,8 +471,8 @@ func workloadRequests(names []string, cfg core.Config) []*service.Request {
 // the service layer at GOMAXPROCS parallelism: mixed workloads × strategies,
 // every artifact already resident in the content-addressed registry and
 // every replayer warmed in the pool, exactly the shape of a loaded uhmd.
-// The per-op cost is one registry hit, one pool checkout, one 0-alloc
-// replay, one report clone.
+// The per-op cost is one registry hit, one pool checkout, the replayer's
+// held derived report, one report clone.
 func BenchmarkServeConcurrent(b *testing.B) {
 	cfg := benchConfig()
 	svc := service.New(service.Options{})

@@ -90,8 +90,8 @@ func NewPool(maxIdlePerKey int) *Pool {
 	}
 }
 
-// Lease is a checked-out replayer.  The caller owns R until Release; the
-// report returned by R.Replay is owned by the replayer and must be cloned
+// Lease is a checked-out replayer.  The caller owns R until Release; a
+// report R returns is owned by the replayer, read-only, and must be cloned
 // (sim.Report.Clone) before Release if it outlives the lease.
 type Lease struct {
 	R *sim.Replayer

@@ -96,34 +96,76 @@ func TestRunPanicIsQuarantined(t *testing.T) {
 	}
 }
 
-// TestShedLadderFallsBackToReplay: under a sustained derive-decline storm
+// TestDeriveDeclineFallsBackToReplay: under a sustained derive-decline storm
 // every request falls back to a full replay — correct reports, never marked
-// derived — and each fallback is counted.
-func TestShedLadderFallsBackToReplay(t *testing.T) {
-	defer faultinject.Activate(faultinject.NewPlan(1, faultinject.Rule{
-		Site: faultinject.SiteDerive, Probability: 1,
-	}))()
-	svc := New(Options{Workers: 1})
-
-	want, err := svc.Run(context.Background(), workloadReq("fib", testConfig()), sim.WithDTB)
-	if err != nil {
-		t.Fatal(err)
+// derived — and each fallback is counted.  The storm declines a cold service
+// whose replayers have never derived, and a warm one whose pooled replayer
+// holds a derived report, since the fault site fires before the held report
+// is consulted.  Once the storm lifts, requests are derived again.
+func TestDeriveDeclineFallsBackToReplay(t *testing.T) {
+	storm := func() (restore func()) {
+		return faultinject.Activate(faultinject.NewPlan(1, faultinject.Rule{
+			Site: faultinject.SiteDerive, Probability: 1,
+		}))
 	}
-	for i := 0; i < 40; i++ {
+	run := func(t *testing.T, svc *Service) *sim.Report {
+		t.Helper()
 		rep, err := svc.Run(context.Background(), workloadReq("fib", testConfig()), sim.WithDTB)
 		if err != nil {
-			t.Fatalf("request %d failed under the derive storm: %v", i, err)
+			t.Fatal(err)
 		}
-		if rep.TotalCycles != want.TotalCycles {
-			t.Fatalf("request %d: cycles %d, want %d", i, rep.TotalCycles, want.TotalCycles)
+		return rep
+	}
+	// serveStorm sends 40 requests under the storm and checks each against
+	// want and the fallback count.
+	serveStorm := func(t *testing.T, svc *Service, want *sim.Report) {
+		t.Helper()
+		before := svc.Stats().Requests.DeriveFallbacks
+		for i := 0; i < 40; i++ {
+			rep := run(t, svc)
+			if diff := sim.DiffReports(rep, want); diff != "" {
+				t.Fatalf("request %d under the derive storm: %s", i, diff)
+			}
+			if rep.Derived {
+				t.Fatalf("request %d reported a derived path while derivation always declines", i)
+			}
 		}
-		if rep.Derived {
-			t.Fatalf("request %d reported a derived path while derivation always declines", i)
+		if got := svc.Stats().Requests.DeriveFallbacks - before; got != 40 {
+			t.Fatalf("DeriveFallbacks rose by %d, want one per request (40)", got)
 		}
 	}
-	if st := svc.Stats().Requests; st.DeriveFallbacks != 41 {
-		t.Fatalf("DeriveFallbacks = %d, want one per request (41)", st.DeriveFallbacks)
-	}
+
+	t.Run("cold", func(t *testing.T) {
+		defer storm()()
+		svc := New(Options{Workers: 1})
+		want := run(t, svc)
+		if want.Derived {
+			t.Fatal("first request derived while derivation always declines")
+		}
+		serveStorm(t, svc, want)
+	})
+
+	t.Run("held", func(t *testing.T) {
+		svc := New(Options{Workers: 1})
+		run(t, svc)
+		hits := svc.Stats().Pool.Hits
+		want := run(t, svc)
+		if !want.Derived || svc.Stats().Pool.Hits != hits+1 {
+			t.Fatalf("second request: Derived %v, pool hits %d -> %d; want a derived pool hit",
+				want.Derived, hits, svc.Stats().Pool.Hits)
+		}
+		restore := storm()
+		defer restore()
+		serveStorm(t, svc, want)
+		restore()
+		after := run(t, svc)
+		if !after.Derived {
+			t.Fatal("request after the storm was not derived")
+		}
+		if diff := sim.DiffReports(after, want); diff != "" {
+			t.Fatalf("request after the storm diverges from the one before it: %s", diff)
+		}
+	})
 }
 
 // TestDrainWithBuildFailingMidSingleflight is the drain satellite: while one

@@ -342,7 +342,9 @@ func (r *Runner) Compare(ctx context.Context, req *Request) ([]*sim.Report, erro
 // footprint, falling back to a full replay when the trace cannot answer
 // exactly), clone the report, check the replayer back in, and refresh the
 // registry's byte accounting — which now includes the cached trace, so it is
-// evicted with its artifact.
+// evicted with its artifact.  A warm replayer answers from the report it
+// holds, which is read-only, aliases the shared trace's output and stays the
+// replayer's until its next Replay: only the clone may leave the lease.
 //
 // The whole path runs under panic isolation: a crash anywhere inside —
 // predecode, checkout, replay — is recovered into a typed *PanicError, the
@@ -372,8 +374,8 @@ func (s *Service) runPooled(art *core.Artifact, strategy sim.Strategy, cfg sim.C
 	// paths it is a no-op, and on a panic it is the backstop that keeps the
 	// lease accounting exact.
 	defer lease.Discard()
-	// ReplayDerived answers from the trace, or by full replay when the trace
-	// declines; the two reports are identical, so a decline costs only speed.
+	// ReplayDerived answers from the held or streamed derivation, or by full
+	// replay on a decline; the reports are identical, so a decline costs speed.
 	out, err := lease.R.ReplayDerived()
 	if err != nil {
 		// A failed replay leaves the replayer's structures in a defined but

@@ -38,8 +38,8 @@ func RunDerived(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Report, 
 }
 
 // ReplayDerived returns the trace-derived report when the trace can answer
-// exactly, and falls back to a full Replay otherwise.  Like Replay, the
-// returned report is owned by the Replayer and overwritten by the next run.
+// exactly, and falls back to a full Replay otherwise; the report is read-only
+// and owned by the Replayer, valid as Derive and Replay describe.
 func (r *Replayer) ReplayDerived() (*Report, error) {
 	rep, err := r.Derive()
 	if err == nil {
@@ -58,10 +58,16 @@ func (r *Replayer) ReplayDerived() (*Report, error) {
 // configuration's instruction or depth bounds — by the bounds-equivalence
 // argument (the limit checks compare the same counts the trace records), the
 // live fallback then reproduces exactly what full simulation would do,
-// success or error.
+// success or error.  The report depends only on the trace, strategy and
+// configuration, so it is streamed once and held: until the next Replay,
+// Derive fires the sim/derive fault site and returns it.  It is read-only,
+// valid until that Replay, and its Output aliases the shared trace.
 func (r *Replayer) Derive() (*Report, error) {
 	if ferr := faultinject.Fire(faultinject.SiteDerive); ferr != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoTrace, ferr)
+	}
+	if r.derived {
+		return &r.report, nil
 	}
 	tr, err := r.pp.Trace()
 	if err != nil {
@@ -97,6 +103,7 @@ func (r *Replayer) Derive() (*Report, error) {
 			report.PerInstruction = float64(report.TotalCycles) / float64(report.Instructions)
 			report.Measured.X = float64(report.SemanticCycles) / float64(report.Instructions)
 		}
+		r.derived = true
 		return report, nil
 	}
 
@@ -216,6 +223,7 @@ func (r *Replayer) Derive() (*Report, error) {
 	if l2Fetches > 0 {
 		report.Measured.S2 = float64(report.Memory.Level2Refs) / float64(l2Fetches)
 	}
+	r.derived = true
 	return report, nil
 }
 

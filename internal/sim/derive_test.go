@@ -7,6 +7,7 @@ import (
 
 	"uhm/internal/compile"
 	"uhm/internal/dir"
+	"uhm/internal/faultinject"
 	"uhm/internal/workload"
 )
 
@@ -50,9 +51,56 @@ func TestDeriveMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestDeriveIsRepeatable checks that deriving twice from the same Replayer
-// (state machines reset per derivation) gives identical reports.
-func TestDeriveIsRepeatable(t *testing.T) {
+// TestDeriveHoldsReport: a Replayer that has derived answers the next Derive
+// from the report it holds, allocating nothing, and that report is the one a
+// fresh Replayer streams.
+func TestDeriveHoldsReport(t *testing.T) {
+	p := workload.MustCompileAt("fib", compile.LevelStack)
+	cfg := DefaultConfig()
+	pp, err := Predecode(p, cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range Strategies() {
+		fresh, err := NewReplayer(pp, strategy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Derive()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := NewReplayer(pp, strategy, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.Derive(); err != nil {
+			t.Fatal(err)
+		}
+		if !rep.derived {
+			t.Fatalf("%v: a successful Derive left no held report", strategy)
+		}
+		var second *Report
+		allocs := testing.AllocsPerRun(20, func() {
+			if second, err = rep.Derive(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: a held Derive allocates %.1f objects, want 0", strategy, allocs)
+		}
+		if !second.Derived {
+			t.Errorf("%v: held report not marked Derived", strategy)
+		}
+		if diff := DiffReports(second, want); diff != "" {
+			t.Errorf("%v: held report diverges from a fresh derivation: %s", strategy, diff)
+		}
+	}
+}
+
+// TestDeriveAfterReplayStreamsAgain: Replay overwrites the held report, so the
+// Derive after it streams the trace again and gives the same derived report.
+func TestDeriveAfterReplayStreamsAgain(t *testing.T) {
 	p := workload.MustCompileAt("fib", compile.LevelStack)
 	cfg := DefaultConfig()
 	pp, err := Predecode(p, cfg.Degree)
@@ -69,13 +117,75 @@ func TestDeriveIsRepeatable(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := first.Clone()
-		second, err := rep.Derive()
+		if _, err := rep.Replay(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := rep.Derive()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if diff := DiffReports(second, want); diff != "" {
-			t.Errorf("%v: second derivation diverges: %s", strategy, diff)
+		if !again.Derived {
+			t.Errorf("%v: Derive after Replay returned a report not marked Derived", strategy)
 		}
+		if diff := DiffReports(again, want); diff != "" {
+			t.Errorf("%v: Derive after Replay diverges from the first: %s", strategy, diff)
+		}
+	}
+}
+
+// TestDeriveFaultDeclinesHeldReport: the sim/derive fault site fires before
+// the held report is consulted, so a chaos plan declines a Replayer that has
+// already derived, ReplayDerived falls back to the simulated report, and the
+// first Derive after the plan is lifted is derived again.
+func TestDeriveFaultDeclinesHeldReport(t *testing.T) {
+	p := workload.MustCompileAt("fib", compile.LevelStack)
+	cfg := DefaultConfig()
+	pp, err := Predecode(p, cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulated, err := RunPredecoded(pp, WithDTB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewReplayer(pp, WithDTB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := rep.Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first.Clone()
+
+	restore := faultinject.Activate(faultinject.NewPlan(1, faultinject.Rule{
+		Site: faultinject.SiteDerive, Probability: 1,
+	}))
+	defer restore()
+	if _, err := rep.Derive(); !errors.Is(err, ErrNoTrace) {
+		t.Fatalf("Derive of a held report under sim/derive p=1: got %v, want ErrNoTrace", err)
+	}
+	got, err := rep.ReplayDerived()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore()
+	if got.Derived {
+		t.Error("ReplayDerived under sim/derive p=1 returned a derived report")
+	}
+	if diff := DiffReports(got, simulated); diff != "" {
+		t.Errorf("fallback report diverges from Replay: %s", diff)
+	}
+
+	again, err := rep.Derive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Derived {
+		t.Error("Derive after the plan was lifted returned a report not marked Derived")
+	}
+	if diff := DiffReports(again, want); diff != "" {
+		t.Errorf("Derive after the plan was lifted diverges from the first: %s", diff)
 	}
 }
 
@@ -177,7 +287,8 @@ func TestTraceFootprintAccounting(t *testing.T) {
 
 // TestDeriveDoesNotAllocate pins the derived path to the same steady-state
 // discipline as Replay: once the trace is recorded and the Replayer is warm,
-// a derivation performs zero heap allocations.
+// streaming a derivation performs zero heap allocations.  Clearing the held
+// report before each call makes every measured Derive stream the trace.
 func TestDeriveDoesNotAllocate(t *testing.T) {
 	p := workload.MustCompileAt("loopsum", compile.LevelStack)
 	cfg := DefaultConfig()
@@ -197,6 +308,7 @@ func TestDeriveDoesNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
+			rep.derived = false
 			if _, err := rep.Derive(); err != nil {
 				t.Fatal(err)
 			}
@@ -262,4 +374,48 @@ func TestUncompilableProgramIsSimulated(t *testing.T) {
 			t.Errorf("%v: %s", strategy, diff)
 		}
 	}
+}
+
+// BenchmarkDeriveReport measures the "cost many" half: streaming the recorded
+// trace through each organisation's cost model on a warm Replayer.  Against
+// BenchmarkReplaySteadyState this is the per-strategy speedup the trace buys
+// — no semantics re-run, just the DTB/cache state machines and the per-pc
+// cost tables.  Each iteration clears the held report so that it streams;
+// the held sub-benchmark prices what a warm pooled Replayer pays instead.
+func BenchmarkDeriveReport(b *testing.B) {
+	dp := workload.MustCompileAt("loopsum", compile.LevelStack)
+	cfg := DefaultConfig()
+	cfg.MaxInstructions = 5_000_000
+	pp, err := Predecode(dp, cfg.Degree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := pp.Trace(); err != nil { // record outside the timer
+		b.Fatal(err)
+	}
+	bench := func(strategy Strategy, stream bool) func(*testing.B) {
+		return func(b *testing.B) {
+			rep, err := NewReplayer(pp, strategy, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := rep.Derive(); err != nil { // warm-up
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if stream {
+					rep.derived = false
+				}
+				if _, err := rep.Derive(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	for _, strategy := range Strategies() {
+		b.Run(strategy.String(), bench(strategy, true))
+	}
+	b.Run("held", bench(WithDTB, false))
 }

@@ -129,7 +129,9 @@ type Measured struct {
 	HC float64 // cache hit ratio
 }
 
-// Report is the outcome of one simulated run.
+// Report is the outcome of one simulated run.  A Replayer's report is
+// read-only, valid until its next Replay, and a derived one's Output aliases
+// the shared trace; Clone it to keep or change it.
 type Report struct {
 	Strategy Strategy
 	Degree   dir.Degree
@@ -170,10 +172,10 @@ type Report struct {
 	Derived bool
 }
 
-// Clone returns a deep copy of the report.  Replayer.Replay returns a report
-// owned by the Replayer and overwritten by the next Replay; callers that hand
-// the Replayer back to a pool (or replay again) while keeping the report must
-// clone it first.
+// Clone returns a deep copy of the report.  Replayer.Replay and Derive
+// return a report owned by the Replayer and overwritten by its next Replay;
+// callers that hand the Replayer back to a pool (or replay again) while
+// keeping the report must clone it first.
 func (r *Report) Clone() *Report {
 	c := *r
 	c.Output = slices.Clone(r.Output)
@@ -224,6 +226,8 @@ func RunPredecoded(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Repor
 // costs a few KiB whatever the configured memory sizes.  Sweeps that re-run
 // the same configuration (repeated rounds, measurement loops) use a Replayer;
 // one-shot callers use RunPredecoded, which is a NewReplayer + Replay pair.
+// Derive streams the shared trace once and holds the read-only report until
+// the next Replay, so a pooled Replayer answers repeats without re-binding.
 //
 // A Replayer is not safe for concurrent use; concurrent runs should each
 // construct their own (the predecoded program itself is safely shared).
@@ -243,8 +247,9 @@ type Replayer struct {
 	compiled *dir.CompiledProgram
 	cstate   *dir.MachineState
 
-	base   Report // setup-time report fields, copied into report by Replay
-	report Report
+	base    Report // setup-time report fields, copied into report by Replay
+	report  Report
+	derived bool // report holds a derivation, which Derive returns until the next Replay
 }
 
 // NewReplayer validates the configuration and builds every structure the
@@ -336,9 +341,10 @@ func NewReplayer(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Replaye
 
 // Replay runs the program once, reusing every structure built by NewReplayer.
 // The returned report (and its Output slice) is owned by the Replayer and
-// overwritten by the next Replay; callers that keep it across replays must
-// copy it.
+// overwritten by the next Replay or Derive; callers that keep it across runs
+// must copy it.
 func (r *Replayer) Replay() (*Report, error) {
+	r.derived = false
 	r.hier.ResetStats()
 	if r.machine != nil {
 		r.machine.Reset()
