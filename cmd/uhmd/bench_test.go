@@ -2,12 +2,16 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"uhm/internal/service"
+	"uhm/internal/wire"
 )
 
 // benchServer builds a warm in-process server: the fib artifact is built,
@@ -59,5 +63,47 @@ func BenchmarkHTTPServeBatch(b *testing.B) {
 	for i := 0; i < b.N; i += batchSize {
 		req := httptest.NewRequest(http.MethodPost, "/batch/run", bytes.NewReader(body))
 		s.mux.ServeHTTP(nullResponseWriter{h: make(http.Header)}, req)
+	}
+}
+
+// BenchmarkRouterBatch is the fleet's batch path end to end: a closed loop of
+// /batch/run envelopes of 8 generated programs (about 28 KB) through an
+// in-process router to two uhmd backends, every program already built and
+// its replayers pooled.  ns/op and allocs/op are per batch, router, backends
+// and client together.
+func BenchmarkRouterBatch(b *testing.B) {
+	// Every backend request is access-logged; keep the output parseable.
+	prev := log.Writer()
+	log.SetOutput(io.Discard)
+	b.Cleanup(func() { log.SetOutput(prev) })
+	front, _, _ := newTestFleet(b, 2)
+	items := make([]string, 0, 8)
+	for _, g := range generatedPrograms(b, 8) {
+		item, err := json.Marshal(wire.RunRequest{Source: g.Source, Name: g.Name, Strategy: "dtb"})
+		if err != nil {
+			b.Fatal(err)
+		}
+		items = append(items, string(item))
+	}
+	body := []byte(`{"items":[` + strings.Join(items, ",") + `]}`)
+	post := func() {
+		resp, err := http.Post(front.URL+"/batch/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var out wire.BatchRunResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || out.Failed != 0 || len(out.Items) != len(items) {
+			b.Fatalf("batch: status %d, %d items, %d failed, %v", resp.StatusCode, len(out.Items), out.Failed, err)
+		}
+	}
+	for range 3 {
+		post()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		post()
 	}
 }

@@ -19,7 +19,7 @@ import (
 // integration twin of the CI multi-backend smoke.
 // It returns the router's front server, the backends' services and their
 // addresses, index for index.
-func newTestFleet(t *testing.T, n int) (*httptest.Server, []*service.Service, []string) {
+func newTestFleet(t testing.TB, n int) (*httptest.Server, []*service.Service, []string) {
 	t.Helper()
 	var addrs []string
 	var svcs []*service.Service

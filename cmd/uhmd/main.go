@@ -57,6 +57,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 	"time"
 
@@ -129,8 +130,8 @@ func (o *options) validate() error {
 	return nil
 }
 
-// backendList splits -backends, dropping empty segments so trailing commas
-// are harmless.
+// backendList splits -backends into its distinct backends, sorted, dropping
+// empty segments so trailing commas are harmless.
 func (o *options) backendList() []string {
 	var out []string
 	for _, b := range strings.Split(o.backends, ",") {
@@ -138,7 +139,8 @@ func (o *options) backendList() []string {
 			out = append(out, b)
 		}
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func main() {

@@ -28,7 +28,7 @@ func newTestServer(t *testing.T, opts service.Options) (*httptest.Server, *servi
 	return ts, svc
 }
 
-func postJSON(t *testing.T, url string, body string) (int, []byte) {
+func postJSON(t testing.TB, url string, body string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {

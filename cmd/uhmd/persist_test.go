@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,6 +58,15 @@ func TestFlagParsing(t *testing.T) {
 	opts = parse(t, "-store-dir", "d", "-warm-start", "-2")
 	if err := opts.validate(); err == nil {
 		t.Fatal("-warm-start -2 accepted")
+	}
+
+	// A backend listed twice is one backend, so the startup log counts it once.
+	opts = parse(t, "-router", "-backends", "b:1, a:1,,b:1,")
+	if got, want := opts.backendList(), []string{"a:1", "b:1"}; !slices.Equal(got, want) {
+		t.Fatalf("backendList = %q, want %q", got, want)
+	}
+	if err := opts.validate(); err != nil {
+		t.Fatalf("router options rejected: %v", err)
 	}
 
 	var opts2 options

@@ -1,9 +1,14 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,16 +16,75 @@ import (
 	"uhm/internal/wire"
 )
 
-// rawBatch keeps batch items opaque: the router splits and merges envelopes
-// without understanding (or re-encoding) item payloads beyond the key
-// probe, so backend wire-format evolution never involves the router.
-type rawBatch struct {
-	Items []json.RawMessage `json:"items"`
+// envItem is a batch item: the bytes the client sent and its ring position.
+type envItem struct {
+	raw  json.RawMessage
+	hash uint64
 }
 
-type rawBatchResponse struct {
-	Items  []json.RawMessage `json:"items"`
-	Failed int               `json:"failed"`
+// splitEnvelope walks a batch body once, finding each item's bytes and ring
+// position.  It accepts exactly the bodies json.Unmarshal reads into
+// {"items":[]json.RawMessage} with at least one item.
+func splitEnvelope(body []byte) ([]envItem, bool) {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return nil, false
+	}
+	var items []envItem
+	// Decode counts nesting from the value, Unmarshal from the body: only a
+	// value of 19,998 bytes or more can be near encoding/json's limit of 10,000.
+	long := false
+	for dec.More() {
+		t, err := dec.Token()
+		if key, _ := t.(string); err != nil || !strings.EqualFold(key, "items") {
+			at := dec.InputOffset()
+			if err != nil || dec.Decode(new(json.RawMessage)) != nil {
+				return nil, false
+			}
+			long = long || dec.InputOffset()-at >= 19_998
+			continue
+		}
+		items = items[:0] // a later items key, null included, replaces earlier items
+		if t, err = dec.Token(); t == nil && err == nil {
+			continue
+		} else if t != json.Delim('[') {
+			return nil, false
+		}
+		for end := dec.InputOffset(); dec.More(); {
+			var p placement
+			err := dec.Decode(&p)
+			if err != nil && !errors.As(err, new(*json.UnmarshalTypeError)) {
+				return nil, false
+			}
+			raw := bytes.TrimLeft(body[end:dec.InputOffset()], ", \t\r\n")
+			end = dec.InputOffset()
+			long = long || len(raw) >= 19_998
+			items = append(items, envItem{raw: raw, hash: placementHash(raw, p, err)})
+		}
+		if _, err := dec.Token(); err != nil {
+			return nil, false
+		}
+	}
+	_, err := dec.Token()
+	_, eof := dec.Token()
+	return items, err == nil && eof == io.EOF && len(items) > 0 && (!long || json.Valid(body))
+}
+
+// splice writes {"items":[, then item(0) to item(n-1) joined by commas, then
+// tail, copying each item's bytes verbatim into one exactly sized buffer.
+func splice(n int, item func(k int) []byte, tail string) []byte {
+	size := len(`{"items":[`) + n + len(tail)
+	for k := range n {
+		size += len(item(k))
+	}
+	buf := append(make([]byte, 0, size), `{"items":[`...)
+	for k := range n {
+		if k > 0 {
+			buf = append(buf, ',')
+		}
+		buf = append(buf, item(k)...)
+	}
+	return append(buf, tail...)
 }
 
 // handleBatch splits a batch envelope by key owner, forwards the per-owner
@@ -32,8 +96,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var env rawBatch
-	if err := json.Unmarshal(body, &env); err != nil || len(env.Items) == 0 {
+	items, ok := splitEnvelope(body)
+	if !ok {
 		// Malformed or empty envelope: one backend answers the whole thing
 		// with the same error a single node would give.
 		rt.forward(w, r, body, rt.ring.OwnersFromHash(bodyHash(body)))
@@ -41,29 +105,26 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	groups := make(map[string][]int)
-	for i, item := range env.Items {
-		h, keyed := placementHash(item)
-		if !keyed {
-			h = bodyHash(item)
-		}
-		owner := rt.firstHealthy(rt.ring.OwnersFromHash(h))
+	for i, it := range items {
+		owner := rt.firstHealthy(rt.ring.OwnersFromHash(it.hash))
 		groups[owner] = append(groups[owner], i)
 	}
 
-	results := make([]json.RawMessage, len(env.Items))
+	results := make([]json.RawMessage, len(items))
 	var failed atomic.Int64
 	var wg sync.WaitGroup
 	for owner, idxs := range groups {
 		wg.Add(1)
 		go func(owner string, idxs []int) {
 			defer wg.Done()
-			rt.sendSubBatch(r, env.Items, idxs, owner, results, &failed, len(rt.ring.Backends())+1)
+			rt.sendSubBatch(r, items, idxs, owner, results, &failed, len(rt.ring.Backends())+1)
 		}(owner, idxs)
 	}
 	wg.Wait()
 
 	rt.proxied.Add(1)
-	wire.WriteJSON(w, http.StatusOK, rawBatchResponse{Items: results, Failed: int(failed.Load())})
+	tail := `],"failed":` + strconv.FormatInt(failed.Load(), 10) + "}\n"
+	wire.WriteBody(w, http.StatusOK, splice(len(results), func(k int) []byte { return results[k] }, tail))
 }
 
 // firstHealthy picks the first healthy backend of an owner list ("" when
@@ -84,14 +145,11 @@ func (rt *Router) firstHealthy(owners []string) string {
 // recursion (each level ejects at least one backend, so backends+1 always
 // suffices); every exit fills results[idx] for each idx — no item is ever
 // dropped.
-func (rt *Router) sendSubBatch(r *http.Request, items []json.RawMessage, idxs []int, owner string, results []json.RawMessage, failed *atomic.Int64, budget int) {
-	sub, err := json.Marshal(rawBatch{Items: pick(items, idxs)})
-	if err != nil {
-		rt.failGroup(idxs, results, failed, http.StatusInternalServerError, err.Error())
-		return
-	}
+func (rt *Router) sendSubBatch(r *http.Request, items []envItem, idxs []int, owner string, results []json.RawMessage, failed *atomic.Int64, budget int) {
+	sub := splice(len(idxs), func(k int) []byte { return items[idxs[k]].raw }, "]}")
 	local := owner == "" || budget <= 0
 	var resp *bufferedResponse
+	var err error
 	if local {
 		resp, err = rt.serveLocal(r, sub)
 	} else {
@@ -115,11 +173,7 @@ func (rt *Router) sendSubBatch(r *http.Request, items []json.RawMessage, idxs []
 		rt.retries.Add(1)
 		regroups := make(map[string][]int)
 		for _, idx := range idxs {
-			h, keyed := placementHash(items[idx])
-			if !keyed {
-				h = bodyHash(items[idx])
-			}
-			next := rt.firstHealthy(rt.ring.OwnersFromHash(h))
+			next := rt.firstHealthy(rt.ring.OwnersFromHash(items[idx].hash))
 			regroups[next] = append(regroups[next], idx)
 		}
 		for next, nidxs := range regroups {
@@ -133,7 +187,10 @@ func (rt *Router) sendSubBatch(r *http.Request, items []json.RawMessage, idxs []
 		rt.failGroup(idxs, results, failed, resp.status, envelopeError(resp.body.Bytes()))
 		return
 	}
-	var sr rawBatchResponse
+	var sr struct {
+		Items  []json.RawMessage `json:"items"`
+		Failed int               `json:"failed"`
+	}
 	if err := json.Unmarshal(resp.body.Bytes(), &sr); err != nil || len(sr.Items) != len(idxs) {
 		who := "fallback"
 		if !local {
@@ -166,12 +223,4 @@ func envelopeError(body []byte) string {
 		return e.Error
 	}
 	return string(body)
-}
-
-func pick(items []json.RawMessage, idxs []int) []json.RawMessage {
-	out := make([]json.RawMessage, len(idxs))
-	for k, idx := range idxs {
-		out[k] = items[idx]
-	}
-	return out
 }

@@ -11,8 +11,10 @@
 // failure during proxying ejects immediately, probes readmit with
 // exponential backoff), capped per-backend in in-flight requests, and
 // backed by an optional local fallback handler that serves single-node when
-// every backend is down.  Batch envelopes are split per owner, forwarded
-// concurrently, and merged back in request order, so batching and routing
+// every backend is down.  A batch envelope is walked once, placing each item
+// by its program key; each owner's sub-batch is spliced from the items' own
+// bytes and forwarded concurrently, and the answers' items are spliced back in
+// request order.  The router re-encodes no payload, and batching and routing
 // compose without giving up single-build placement.
 //
 // The router holds every request body and every backend response fully in

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 
 	"uhm/internal/service"
@@ -29,17 +30,14 @@ type Ring struct {
 }
 
 // NewRing builds a ring of vnodes points per backend (DefaultVnodes if
-// vnodes <= 0).  Backend order does not matter: placement depends only on
-// the set of backend names.
+// vnodes <= 0).  Backend order and repetition do not matter: placement
+// depends only on the set of backend names.
 func NewRing(backends []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVnodes
 	}
-	r := &Ring{
-		backends: append([]string(nil), backends...),
-		points:   make([]ringPoint, 0, len(backends)*vnodes),
-	}
-	sort.Strings(r.backends)
+	r := &Ring{backends: slices.Compact(slices.Sorted(slices.Values(backends)))}
+	r.points = make([]ringPoint, 0, len(r.backends)*vnodes)
 	for i, b := range r.backends {
 		for v := 0; v < vnodes; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", b, v)), backend: i})

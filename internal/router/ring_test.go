@@ -2,6 +2,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"uhm/internal/core"
@@ -145,6 +146,21 @@ func TestRingEmptyAndSingle(t *testing.T) {
 	for _, key := range testKeys(10) {
 		if owners := one.Owners(key); len(owners) != 1 || owners[0] != "solo:1" {
 			t.Fatalf("single-backend ring produced %v", owners)
+		}
+	}
+}
+
+// TestRingDuplicateBackends: a backend listed twice is one member, placed
+// exactly as if it were listed once.
+func TestRingDuplicateBackends(t *testing.T) {
+	a, b := "10.0.0.1:8080", "10.0.0.2:8080"
+	dup, once := NewRing([]string{a, b, a}, 0), NewRing([]string{a, b}, 0)
+	if got, want := dup.Backends(), once.Backends(); !slices.Equal(got, want) {
+		t.Fatalf("backends %v, want %v", got, want)
+	}
+	for _, key := range testKeys(200) {
+		if got, want := dup.Owners(key), once.Owners(key); !slices.Equal(got, want) {
+			t.Fatalf("key %s: owners %v, want %v", key, got, want)
 		}
 	}
 }

@@ -210,35 +210,26 @@ func backendURL(backend, path string) string {
 	return "http://" + backend + path
 }
 
-// placementHash resolves a body to its ring position: just enough of a lenient
-// decode to place the request, with full validation left to the backend.  ok
-// is false when the body does not determine a key (unknown workload, bad
-// level, malformed JSON); such requests still need a backend — to produce
-// the right error — so the caller falls back to body-hash spreading.
-func placementHash(body []byte) (uint64, bool) {
-	var p wire.RunRequest
-	if err := json.Unmarshal(body, &p); err != nil {
-		return 0, false
-	}
+// placement is the part of a run request its ring position depends on: the
+// fields of its program key.  Full validation is left to the backend.
+type placement struct{ Workload, Source, Level string }
+
+// placementHash is a request's ring position: its program key's, or its
+// bytes' when it names none (err, p's decode error, is set; an unknown
+// workload; a bad level), since it still needs a backend to answer its error.
+func placementHash(body []byte, p placement, err error) uint64 {
 	src := p.Source
 	if p.Workload != "" {
-		ws, err := workload.Source(p.Workload)
-		if err != nil {
-			return 0, false
-		}
-		src = ws
+		src, _ = workload.Source(p.Workload) // "" for an unknown workload
 	}
-	level, err := wire.ParseLevel(p.Level)
-	if src == "" || err != nil {
-		return 0, false
+	level, lerr := wire.ParseLevel(p.Level)
+	if err != nil || lerr != nil || src == "" {
+		return bodyHash(body)
 	}
-	return KeyHash(service.KeyOf(src, level)), true
+	return KeyHash(service.KeyOf(src, level))
 }
 
-func bodyHash(body []byte) uint64 {
-	h := hash64(string(body))
-	return h
-}
+func bodyHash(body []byte) uint64 { return hash64(string(body)) }
 
 // handleKeyed places /v1/run and /v1/compare by program key.
 func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
@@ -246,11 +237,9 @@ func (rt *Router) handleKeyed(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	h, keyed := placementHash(body)
-	if !keyed {
-		h = bodyHash(body)
-	}
-	rt.forward(w, r, body, rt.ring.OwnersFromHash(h))
+	var p placement
+	err := json.Unmarshal(body, &p)
+	rt.forward(w, r, body, rt.ring.OwnersFromHash(placementHash(body, p, err)))
 }
 
 // handleSpread places un-keyed POSTs (conformance, experiments) by body
@@ -268,6 +257,8 @@ func (rt *Router) handleAny(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, nil, rt.ring.Backends())
 }
 
+// readBody buffers a request body as its bytes arrive, not by its declared
+// Content-Length, so a client that stalls holds only what it has sent.
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	if err != nil {

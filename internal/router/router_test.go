@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -537,6 +538,51 @@ func TestRouterStatsAggregation(t *testing.T) {
 	}
 	if agg.Router.Proxied != 10 || len(agg.Router.Healthy) != 2 {
 		t.Fatalf("router counters = %+v", agg.Router)
+	}
+}
+
+// TestRouterStatsDuplicateBackend: a backend listed twice is scraped once,
+// so its builds are not counted twice in the fleet roll-up.
+func TestRouterStatsDuplicateBackend(t *testing.T) {
+	b1 := newStubBackend(t)
+	_, ts := newTestRouter(t, Options{Backends: []string{b1.ts.URL}}, b1)
+	if status, body := postBody(t, ts.URL+"/v1/run", runBody(0)); status != http.StatusOK {
+		t.Fatalf("run: %d %s", status, body)
+	}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var agg struct {
+		Fleet FleetStats `json:"fleet"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
+		t.Fatal(err)
+	}
+	if agg.Fleet.Backends != 1 || agg.Fleet.Builds != 1 {
+		t.Fatalf("fleet backends = %d, builds = %d; want 1 and 1", agg.Fleet.Backends, agg.Fleet.Builds)
+	}
+}
+
+// TestRouterBodyBufferFollowsBytesSent: a request that declares the largest
+// body the router accepts but sends two bytes costs the router about what it
+// sent, not what it declared, so a client that stalls after its headers
+// cannot pin megabytes per connection.
+func TestRouterBodyBufferFollowsBytesSent(t *testing.T) {
+	rt := New(Options{})
+	const requests = 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for range requests {
+		req := httptest.NewRequest(http.MethodPost, "/v1/conformance", strings.NewReader("{}"))
+		req.ContentLength = maxRequestBytes
+		rt.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / requests; per >= 1<<20 {
+		t.Fatalf("a 2-byte body declared as %d bytes allocated %d bytes per request", maxRequestBytes, per)
 	}
 }
 

@@ -214,7 +214,6 @@ type jsonBuf struct {
 var jsonBufPool = sync.Pool{New: func() any {
 	jb := &jsonBuf{}
 	jb.enc = json.NewEncoder(&jb.buf)
-	jb.enc.SetIndent("", "  ")
 	return jb
 }}
 
@@ -222,7 +221,7 @@ var jsonBufPool = sync.Pool{New: func() any {
 // response should not pin its peak allocation in the pool forever.
 const jsonBufMaxRecycle = 1 << 20
 
-// WriteJSON answers v as indented JSON with an exact Content-Length.
+// WriteJSON answers v as compact JSON with an exact Content-Length.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	jb := jsonBufPool.Get().(*jsonBuf)
 	jb.buf.Reset()
@@ -230,18 +229,21 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		// The wire types are plain data; encoding them cannot fail.  Answer
 		// something structured anyway rather than an empty body.
 		jsonBufPool.Put(jb)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		fmt.Fprintf(w, `{"error":%q}`, "response encoding failed: "+err.Error())
+		WriteBody(w, http.StatusInternalServerError, fmt.Appendf(nil, `{"error":%q}`, "response encoding failed: "+err.Error()))
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(jb.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(jb.buf.Bytes())
+	WriteBody(w, status, jb.buf.Bytes())
 	if jb.buf.Cap() <= jsonBufMaxRecycle {
 		jsonBufPool.Put(jb)
 	}
+}
+
+// WriteBody answers an encoded JSON body with an exact Content-Length.
+func WriteBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 // WriteError answers err as an ErrorResponse; a non-empty requestID tags it.
