@@ -713,66 +713,101 @@ func BenchmarkConformanceArchetype(b *testing.B) {
 // three workloads, each run once under DTB at the stack level.
 var benchWorkingSet = workloadRequests([]string{"loopsum", "fib", "sieve"}, benchConfig())
 
-// BenchmarkColdStart measures bringing the working set online in a fresh
-// process with nothing persisted: every request pays the full compile
-// pipeline (parse, translate, encode, predecode).
-func BenchmarkColdStart(b *testing.B) {
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		svc := service.New(service.Options{})
-		for _, w := range benchWorkingSet {
-			if _, err := svc.Run(ctx, w, sim.WithDTB); err != nil {
-				b.Fatal(err)
-			}
+// coldStart brings the working set online in a fresh process with nothing
+// persisted: every request pays the full compile pipeline (parse, translate,
+// encode, predecode).
+func coldStart(tb testing.TB) {
+	svc := service.New(service.Options{})
+	for _, w := range benchWorkingSet {
+		if _, err := svc.Run(context.Background(), w, sim.WithDTB); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkWarmStart measures the same working set in a restarted process:
-// the artifacts (including recorded traces) are preloaded from the disk tier,
-// so no request touches the compile pipeline.  The delta against
-// BenchmarkColdStart is the value of persistence.
-func BenchmarkWarmStart(b *testing.B) {
-	ctx := context.Background()
-	dir := b.TempDir()
-
-	// Populate the store once, outside the timer.  Two runs per workload so
-	// the recorded trace is synced into the container and the warm-started
-	// process derives instead of re-executing.
+// persistWorkingSet runs the working set against a store in a fresh
+// directory and returns the directory.  Two runs per workload, so the
+// recorded trace is synced into the container and a process warm-started
+// from it derives instead of re-executing.
+func persistWorkingSet(tb testing.TB) string {
+	dir := tb.TempDir()
 	tier, err := store.Open(dir)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	seed := service.New(service.Options{Store: tier})
 	for _, w := range benchWorkingSet {
 		for j := 0; j < 2; j++ {
-			if _, err := seed.Run(ctx, w, sim.WithDTB); err != nil {
-				b.Fatal(err)
+			if _, err := seed.Run(context.Background(), w, sim.WithDTB); err != nil {
+				tb.Fatal(err)
 			}
 		}
 	}
+	return dir
+}
 
+// warmStart brings the same working set online in a restarted process: the
+// artifacts (including recorded traces) are preloaded from dir, so no
+// request touches the compile pipeline.
+func warmStart(tb testing.TB, dir string) *service.Service {
+	tier, err := store.Open(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	svc := service.New(service.Options{Store: tier})
+	if _, err := svc.Warmstart(-1); err != nil {
+		tb.Fatal(err)
+	}
+	for _, w := range benchWorkingSet {
+		if _, err := svc.Run(context.Background(), w, sim.WithDTB); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return svc
+}
+
+// BenchmarkColdStart measures coldStart.
+func BenchmarkColdStart(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coldStart(b)
+	}
+}
+
+// BenchmarkWarmStart measures warmStart from a store populated outside the
+// timer.  The delta against BenchmarkColdStart is the value of persistence.
+func BenchmarkWarmStart(b *testing.B) {
+	dir := persistWorkingSet(b)
 	var svc *service.Service
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tier, err := store.Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		svc = service.New(service.Options{Store: tier})
-		if _, err := svc.Warmstart(-1); err != nil {
-			b.Fatal(err)
-		}
-		for _, w := range benchWorkingSet {
-			if _, err := svc.Run(ctx, w, sim.WithDTB); err != nil {
-				b.Fatal(err)
-			}
-		}
+		svc = warmStart(b, dir)
 	}
 	b.StopTimer()
 	if st := svc.Registry().Stats(); st.Builds != 0 {
 		b.Fatalf("warm start rebuilt %d artifacts, want 0", st.Builds)
+	}
+}
+
+// TestStartAllocs pins the allocations of the start-up benchmarks' loop
+// bodies, which are the same on every run.  A change that adds one fails
+// here; a change that removes some lowers its pin.  Under the race detector
+// the counts are not exact, so they are only logged.
+func TestStartAllocs(t *testing.T) {
+	dir := persistWorkingSet(t)
+	for _, tc := range []struct {
+		name   string
+		pinned float64
+		start  func()
+	}{
+		{"cold", 1329, func() { coldStart(t) }},
+		{"warm", 1161, func() { warmStart(t, dir) }},
+	} {
+		allocs := testing.AllocsPerRun(20, tc.start)
+		t.Logf("%s start: %.1f allocs/op (pinned %.0f)", tc.name, allocs, tc.pinned)
+		if allocs > tc.pinned && !raceEnabled {
+			t.Errorf("%s start costs %.1f allocs/op, above the pinned %.0f", tc.name, allocs, tc.pinned)
+		}
 	}
 }

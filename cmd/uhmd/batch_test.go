@@ -57,7 +57,7 @@ func TestBatchRunEndpoint(t *testing.T) {
 
 // TestBatchRunPartialFailure: a bad item answers its own status; siblings
 // and the envelope succeed.  This is the batch contract the router's
-// splitter and uhmload both rely on.
+// splitter relies on.
 func TestBatchRunPartialFailure(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{})
 	body := `{"items":[

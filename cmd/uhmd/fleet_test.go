@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"uhm/internal/core"
 	"uhm/internal/router"
@@ -129,7 +136,7 @@ func TestFleetBatchThroughRouter(t *testing.T) {
 }
 
 // TestFleetStatsEndToEnd: the router's aggregated stats over real backends
-// expose the fleet build count CI gates on.
+// expose the fleet-wide build count.
 func TestFleetStatsEndToEnd(t *testing.T) {
 	front, _, _ := newTestFleet(t, 2)
 
@@ -139,22 +146,56 @@ func TestFleetStatsEndToEnd(t *testing.T) {
 			t.Fatalf("run %d: %d %s", i, status, data)
 		}
 	}
-	resp, err := http.Get(front.URL + "/v1/stats")
+	fleet, _ := fleetStats(t, front.URL)
+	if fleet.Builds != 6 {
+		t.Fatalf("aggregated fleet builds = %d, want 6", fleet.Builds)
+	}
+	if fleet.Reachable != 2 {
+		t.Fatalf("reachable = %d, want 2", fleet.Reachable)
+	}
+}
+
+// fleetStats reads the router's /v1/stats: the fleet roll-up and the
+// router's own counters.
+func fleetStats(t *testing.T, frontURL string) (router.FleetStats, router.RouterStats) {
+	t.Helper()
+	resp, err := http.Get(frontURL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	var agg struct {
-		Fleet router.FleetStats `json:"fleet"`
+		Fleet  router.FleetStats  `json:"fleet"`
+		Router router.RouterStats `json:"router"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&agg); err != nil {
 		t.Fatal(err)
 	}
-	if agg.Fleet.Builds != 6 {
-		t.Fatalf("aggregated fleet builds = %d, want 6", agg.Fleet.Builds)
+	return agg.Fleet, agg.Router
+}
+
+// TestFleetTrailingDataBuildsOnce: the router places a body it cannot parse
+// by the hash of its bytes, so the backend it lands on must refuse a body
+// with data after its JSON value.  Serving it would build the program again
+// on a backend that does not own it.
+func TestFleetTrailingDataBuildsOnce(t *testing.T) {
+	front, _, _ := newTestFleet(t, 2)
+	if status, data := postJSON(t, front.URL+"/v1/run", `{"workload":"fib"}`); status != http.StatusOK {
+		t.Fatalf("fib: status %d: %s", status, data)
 	}
-	if agg.Fleet.Reachable != 2 {
-		t.Fatalf("reachable = %d, want 2", agg.Fleet.Reachable)
+	// The router cannot parse these, so their bytes' hashes spread them
+	// over both backends, whichever owns fib.
+	bodies := []string{`{"workload":"fib"}{"workload":"sieve"}`}
+	for n := 1; n < 16; n++ {
+		bodies = append(bodies, fmt.Sprintf(`{"workload":"fib"} %d`, n))
+	}
+	for _, body := range bodies {
+		if status, data := postJSON(t, front.URL+"/v1/run", body); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", body, status, data)
+		}
+	}
+	if fleet, _ := fleetStats(t, front.URL); fleet.Builds != 1 {
+		t.Fatalf("the fleet built fib %d times, want 1", fleet.Builds)
 	}
 }
 
@@ -183,5 +224,180 @@ func TestFleetFallbackServesWhenBackendsDie(t *testing.T) {
 	}
 	if fallback.Stats().Registry.Builds != 1 {
 		t.Fatalf("fallback built %d artifacts, want 1 (sieve)", fallback.Stats().Registry.Builds)
+	}
+}
+
+// holdSwitch wraps backends so that, once armed, the first run any of them
+// receives is held in flight and never answered, as a request is when its
+// process is SIGKILLed.  held names the backend holding it; closing dead
+// lets the handler return after the backend is gone.
+type holdSwitch struct {
+	armed atomic.Bool
+	held  chan int
+	dead  chan struct{}
+}
+
+func (h *holdSwitch) wrap(i int, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && h.armed.CompareAndSwap(true, false) {
+			h.held <- i
+			<-h.dead
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestFleetSurvivesBackendKill: a backend that dies under a closed loop of
+// runs and batches, with a request in flight on it, costs no client request
+// and no batch item.  The router retries what the dead backend held on its
+// successor, every answer still matches the oracle, and once a probe cycle
+// has passed the fleet reports one reachable backend.
+func TestFleetSurvivesBackendKill(t *testing.T) {
+	// Every backend request is access-logged; keep a failure's output short.
+	prev := log.Writer()
+	log.SetOutput(io.Discard)
+	t.Cleanup(func() { log.SetOutput(prev) })
+
+	hold := &holdSwitch{held: make(chan int, 1), dead: make(chan struct{})}
+	var backends []*httptest.Server
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		b := httptest.NewServer(hold.wrap(i, newServer(service.New(service.Options{}))))
+		t.Cleanup(b.Close)
+		backends = append(backends, b)
+		addrs = append(addrs, b.URL)
+	}
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(hold.dead) }) })
+	rt := router.New(router.Options{Backends: addrs, ProbeInterval: 10 * time.Millisecond, Logf: t.Logf})
+	rt.Start()
+	t.Cleanup(rt.Close)
+	front := httptest.NewServer(rt)
+	t.Cleanup(front.Close)
+
+	progs := generatedPrograms(t, 24)
+	runs := make([][]byte, len(progs))
+	for k, g := range progs {
+		body, err := json.Marshal(wire.RunRequest{Source: g.Source, Name: g.Name, Strategy: "dtb"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[k] = body
+	}
+	post := func(path string, body []byte, out any) error {
+		resp, err := front.Client().Post(front.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("%s: status %d: %s", path, resp.StatusCode, data)
+		}
+		return json.Unmarshal(data, out)
+	}
+	check := func(k int, rep *wire.Report) error {
+		if rep == nil || !slices.Equal(rep.Output, progs[k].Output) {
+			return fmt.Errorf("%s: answered %+v, want output %v", progs[k].Name, rep, progs[k].Output)
+		}
+		return nil
+	}
+	// request i is a run of one program when i is even and a batch of the
+	// next 8 when it is odd.
+	request := func(i int) error {
+		k := i % len(progs)
+		if i%2 == 0 {
+			var out wire.RunResponse
+			if err := post("/v1/run", runs[k], &out); err != nil {
+				return err
+			}
+			return check(k, &out.Report)
+		}
+		items := make([][]byte, 8)
+		for j := range items {
+			items[j] = runs[(k+j)%len(progs)]
+		}
+		var out wire.BatchRunResponse
+		if err := post("/batch/run", []byte(`{"items":[`+string(bytes.Join(items, []byte(",")))+`]}`), &out); err != nil {
+			return err
+		}
+		if out.Failed != 0 || len(out.Items) != len(items) {
+			return fmt.Errorf("batch at %d: %d items, %d failed", k, len(out.Items), out.Failed)
+		}
+		for j, it := range out.Items {
+			if err := check((k+j)%len(progs), it.Report); err != nil {
+				return fmt.Errorf("batch at %d, item %d (status %d): %w", k, j, it.Status, err)
+			}
+		}
+		return nil
+	}
+
+	const clients = 4
+	var stop atomic.Bool
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := c; !stop.Load(); i += clients {
+				if err := request(i); err != nil {
+					t.Error(err)
+					return
+				}
+				answered.Add(1)
+			}
+		}(c)
+	}
+	halt := func() {
+		stop.Store(true)
+		wg.Wait()
+	}
+	defer halt()
+	// await lets the load answer n more requests, each program's several
+	// times over: before the kill every program is built on its owner,
+	// after it the dead backend's programs are built on the survivor.
+	await := func(n int64) {
+		for until := answered.Load() + n; answered.Load() < until && !t.Failed(); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	await(4 * int64(len(progs)))
+	if t.Failed() {
+		return
+	}
+	hold.armed.Store(true)
+	var victim int
+	select {
+	case victim = <-hold.held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no request reached a backend after the hold was armed")
+	}
+	// The kill as the router sees a SIGKILL: new connections are refused,
+	// and open ones, the held request's among them, are reset.
+	backends[victim].Listener.Close()
+	backends[victim].CloseClientConnections()
+	release.Do(func() { close(hold.dead) })
+	await(4 * int64(len(progs)))
+	halt()
+	if t.Failed() {
+		return
+	}
+
+	// The load after the kill spanned many probe cycles.
+	fleet, rs := fleetStats(t, front.URL)
+	t.Logf("%d requests answered; backend %d killed holding one; router retries %d, unhealthy %v",
+		answered.Load(), victim, rs.Retries, rs.Unhealthy)
+	if fleet.Reachable != 1 {
+		t.Fatalf("after the kill the fleet reports %d reachable backends, want 1", fleet.Reachable)
+	}
+	if !slices.Equal(rs.Unhealthy, addrs[victim:victim+1]) || rs.Retries == 0 {
+		t.Fatalf("router unhealthy %v after %d retries, want the killed %s after at least one",
+			rs.Unhealthy, rs.Retries, addrs[victim])
 	}
 }

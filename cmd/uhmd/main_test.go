@@ -263,7 +263,8 @@ func TestExperimentEndpoint(t *testing.T) {
 
 // TestMalformedRequests walks the error surface: syntax, validation,
 // routing and method errors all answer with the right status and a JSON
-// error body.
+// error body.  A body is exactly one JSON value: data after it is a syntax
+// error, whitespace is not.
 func TestMalformedRequests(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{})
 	cases := []struct {
@@ -275,6 +276,10 @@ func TestMalformedRequests(t *testing.T) {
 	}{
 		{"bad json", "POST", "/v1/run", `{"workload":`, http.StatusBadRequest},
 		{"unknown field", "POST", "/v1/run", `{"wrkload":"fib"}`, http.StatusBadRequest},
+		{"second value", "POST", "/v1/run", `{"workload":"fib"}{"workload":"sieve"}`, http.StatusBadRequest},
+		{"trailing number", "POST", "/v1/run", `{"workload":"fib"} 1`, http.StatusBadRequest},
+		{"trailing brackets on batch", "POST", "/batch/run", `{"items":[{"workload":"fib"}]}]]]`, http.StatusBadRequest},
+		{"trailing newline", "POST", "/v1/run", "{\"workload\":\"fib\"}\n", http.StatusOK},
 		{"no program", "POST", "/v1/run", `{}`, http.StatusBadRequest},
 		{"both programs", "POST", "/v1/run", `{"workload":"fib","source":"x"}`, http.StatusBadRequest},
 		{"bad strategy", "POST", "/v1/run", `{"workload":"fib","strategy":"quantum"}`, http.StatusBadRequest},

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -175,6 +176,12 @@ func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("malformed request body: %w", err)
+	}
+	// A body is one JSON value.  The router places a body it cannot parse by
+	// the hash of its bytes, so serving one with data after its value would
+	// build the program on a backend that does not own it.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("malformed request body: data after the JSON value")
 	}
 	return nil
 }
