@@ -1,8 +1,9 @@
 // Package uhm holds the top-level benchmark harness: one benchmark per table
 // and figure of the paper's evaluation, plus ablation benchmarks for the
-// design choices DESIGN.md calls out.  Each benchmark regenerates its
-// experiment through the public core façade, so `go test -bench=.` prints the
-// same rows the cmd/uhmbench tool does (captured in EXPERIMENTS.md).
+// reproduction's design choices.  Each benchmark regenerates its experiment
+// through the public core façade, so `go test -bench=.` computes the same
+// rows the cmd/uhmbench tool prints (ARCHITECTURE.md's experiment table maps
+// each one to the paper).
 package uhm
 
 import (
@@ -43,7 +44,7 @@ func BenchmarkTable1Formats(b *testing.B) {
 // BenchmarkTable2 regenerates the analytic Table 2 grid.
 func BenchmarkTable2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(core.Table2().Cells) != 3 {
+		if len(perfmodel.Table2().Cells) != 3 {
 			b.Fatal("table 2 shape")
 		}
 	}
@@ -52,7 +53,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates the analytic Table 3 grid.
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(core.Table3().Cells) != 3 {
+		if len(perfmodel.Table3().Cells) != 3 {
 			b.Fatal("table 3 shape")
 		}
 	}
@@ -64,7 +65,7 @@ func BenchmarkFigure1Sweep(b *testing.B) {
 	cfg := benchConfig()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Figure1([]string{"loopsum"}, cfg)
+		rows, err := core.Engine{}.Figure1(context.Background(), []string{"loopsum"}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -78,7 +79,7 @@ func BenchmarkFigure1Sweep(b *testing.B) {
 func BenchmarkFigure2DTBHitRatio(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Figure2("sieve", cfg); err != nil {
+		if _, _, err := (core.Engine{}).Figure2(context.Background(), "sieve", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +90,7 @@ func BenchmarkFigure2DTBHitRatio(b *testing.B) {
 func BenchmarkFigure3Activity(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Figure3("fib", cfg); err != nil {
+		if _, err := (core.Engine{}).Figure3(context.Background(), "fib", cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +101,7 @@ func BenchmarkFigure3Activity(b *testing.B) {
 func BenchmarkINTERPHitMiss(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		stats, err := core.Figure4("sieve", cfg)
+		stats, err := core.Engine{}.Figure4(context.Background(), "sieve", cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -135,7 +136,7 @@ func BenchmarkUHMStrategies(b *testing.B) {
 func BenchmarkEmpiricalStrategies(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Empirical([]string{"loopsum", "fib"}, cfg); err != nil {
+		if _, err := (core.Engine{}).Empirical(context.Background(), []string{"loopsum", "fib"}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +145,7 @@ func BenchmarkEmpiricalStrategies(b *testing.B) {
 // BenchmarkEncodingCompaction regenerates the §3.2 compaction study.
 func BenchmarkEncodingCompaction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := core.Compaction([]string{"sieve"}, core.LevelStack)
+		rows, err := core.Engine{}.Compaction(context.Background(), []string{"sieve"}, core.LevelStack)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +153,7 @@ func BenchmarkEncodingCompaction(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices called out in DESIGN.md) ---------
+// --- Ablation benchmarks (the reproduction's design choices) --------------
 
 // BenchmarkAblationEncodingDegree measures the conventional organisation at
 // every encoding degree: the decode-cost / program-size trade-off.
@@ -241,8 +242,8 @@ func BenchmarkEngineEmpirical(b *testing.B) {
 		name   string
 		engine core.Engine
 	}{
-		{"serial", core.SerialEngine()},
-		{"parallel", core.ParallelEngine()},
+		{"serial", core.Engine{Workers: 1}},
+		{"parallel", core.Engine{}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -262,8 +263,8 @@ func BenchmarkEngineFigure1(b *testing.B) {
 		name   string
 		engine core.Engine
 	}{
-		{"serial", core.SerialEngine()},
-		{"parallel", core.ParallelEngine()},
+		{"serial", core.Engine{Workers: 1}},
+		{"parallel", core.Engine{}},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -649,7 +650,7 @@ func BenchmarkArchetypeGenerate(b *testing.B) {
 func BenchmarkArchetypeSweep(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		rows, err := core.ParallelEngine().ArchetypeSweep(context.Background(),
+		rows, err := core.Engine{}.ArchetypeSweep(context.Background(),
 			[]string{"dispatch"}, 2, 1, cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -666,7 +667,7 @@ func BenchmarkArchetypeSweep(b *testing.B) {
 func BenchmarkModelValidation(b *testing.B) {
 	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		v, err := core.ParallelEngine().ModelValidation(context.Background(), nil, 1, 1, cfg)
+		v, err := core.Engine{}.ModelValidation(context.Background(), nil, 1, 1, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 // empirical Section 7 cross-check and the §3.2 compaction study.
 //
 // The grid experiments run on the parallel engine by default (one worker per
-// CPU); -parallel=false selects the serial engine, which produces the same
-// bytes cell for cell.  An interrupt (Ctrl-C) cancels the sweep.
+// CPU); -workers 1 selects the serial engine, which produces the same bytes
+// cell for cell.  An interrupt (Ctrl-C) cancels the sweep.
 //
 // Grid cells derive their cost reports from each program's shared execution
 // trace by default (-mode derived); -mode simulated restores the full
@@ -17,7 +17,7 @@
 //	uhmbench -exp all
 //	uhmbench -exp table2
 //	uhmbench -exp figure2 -workload sieve
-//	uhmbench -exp empirical -parallel=false
+//	uhmbench -exp empirical -workers 1
 //
 // The archsweep and modelerr experiments extend the evaluation beyond the
 // paper's phase space using the generator's workload archetypes (recursion,
@@ -91,8 +91,7 @@ func main() {
 func realMain() int {
 	exp := flag.String("exp", "all", "experiment to run: table1, table2, table3, figure1, figure2, figure3, figure4, empirical, compaction, archsweep, modelerr, all")
 	workloadName := flag.String("workload", "", "workload for the figure experiments (default chosen per experiment)")
-	parallel := flag.Bool("parallel", true, "run experiment grids on the parallel engine")
-	workers := flag.Int("workers", 0, "worker-pool size for the parallel engine and the conformance sweep (0 = one per CPU)")
+	workers := flag.Int("workers", 0, "worker-pool size for the experiment engine and the conformance sweep (0 = one per CPU, 1 = serial)")
 	mode := flag.String("mode", "derived", "how grid cells produce reports: derived (trace-once, cost-many), simulated (full interleaved loop), crosscheck (both, fail on divergence)")
 	genCount := flag.Int("gen", 0, "conformance mode: check this many generated programs instead of running experiments")
 	genArchetype := flag.String("gen-archetype", "", "generator archetype for -gen and the archetype experiments: "+strings.Join(workload.ArchetypeNames(), ", ")+", a comma list, or all (empty = uniform generator / full catalogue)")
@@ -126,11 +125,7 @@ func realMain() int {
 	// engine — the same artifact cache and build path cmd/uhmd serves — so
 	// bench runs and server traffic exercise identical code.  The serial
 	// engine is the one-worker service.
-	engineWorkers := *workers
-	if !*parallel {
-		engineWorkers = 1
-	}
-	svc := service.New(service.Options{Workers: engineWorkers})
+	svc := service.New(service.Options{Workers: *workers})
 	engine := svc.Engine()
 	runMode, err := core.ParseRunMode(*mode)
 	if err != nil {

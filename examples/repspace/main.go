@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,7 +16,7 @@ import (
 
 func main() {
 	cfg := core.DefaultConfig()
-	rows, err := core.Figure1([]string{"sieve"}, cfg)
+	rows, err := core.Engine{}.Figure1(context.Background(), []string{"sieve"}, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -86,37 +86,3 @@ func BenchmarkReadBits(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkReadUnary(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	w := NewWriter(1 << 16)
-	values := make([]int, 256)
-	for i := range values {
-		values[i] = rng.Intn(40)
-		_ = w.WriteUnary(values[i])
-	}
-	b.Run("word", func(b *testing.B) {
-		r := NewReader(w.Bytes(), w.Len())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%256 == 0 {
-				_ = r.Seek(0)
-			}
-			if _, err := r.ReadUnary(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reference", func(b *testing.B) {
-		r := newRefReader(w.Bytes(), w.Len())
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%256 == 0 {
-				_ = r.Seek(0)
-			}
-			if _, err := r.ReadUnary(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 )
 
 // MaxFieldWidth is the widest single field that can be read or written in one
@@ -47,9 +46,6 @@ func (w *Writer) Len() int { return w.nbit }
 // is zero-padded on the right.  The returned slice aliases the writer's
 // internal buffer; callers that keep it across further writes must copy it.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// BitLen is an alias of Len provided for symmetry with Reader.
-func (w *Writer) BitLen() int { return w.nbit }
 
 // Reset discards all written bits, retaining the allocated buffer.
 func (w *Writer) Reset() {
@@ -109,34 +105,6 @@ func (w *Writer) WriteBit(bit bool) {
 	}
 	// A single bit can never exceed MaxFieldWidth.
 	_ = w.WriteBits(v, 1)
-}
-
-// WriteUnary appends n in unary: n one-bits followed by a terminating zero.
-// Unary codes are used by the variable-length opcode experiments.
-func (w *Writer) WriteUnary(n int) error {
-	if n < 0 {
-		panic("bitio: negative unary value")
-	}
-	for n >= 64 {
-		_ = w.WriteBits(^uint64(0), 64)
-		n -= 64
-	}
-	// n ones and the terminating zero fit in one field of n+1 <= 64 bits.
-	return w.WriteBits(maskOf(n)<<1, n+1)
-}
-
-// Align pads the bit string with zero bits until its length is a multiple of
-// the given unit (in bits).  Unit must be positive.
-func (w *Writer) Align(unit int) {
-	if unit <= 0 {
-		panic("bitio: non-positive alignment unit")
-	}
-	if pad := w.nbit % unit; pad != 0 {
-		for pad = unit - pad; pad > 64; pad -= 64 {
-			_ = w.WriteBits(0, 64)
-		}
-		_ = w.WriteBits(0, pad)
-	}
 }
 
 // Reader consumes a bit string produced by Writer.
@@ -251,44 +219,6 @@ func (r *Reader) SkipBits(width int) error {
 func (r *Reader) ReadBit() (bool, error) {
 	v, err := r.ReadBits(1)
 	return v == 1, err
-}
-
-// ReadUnary reads a unary-coded value (count of one-bits before a zero).
-func (r *Reader) ReadUnary() (int, error) {
-	n := 0
-	for {
-		k := min(r.nbit-r.pos, 64)
-		if k == 0 {
-			return 0, ErrShortBuffer
-		}
-		v := r.peekAt(r.pos, k)
-		inv := ^v & maskOf(k)
-		if inv == 0 {
-			// All k bits are ones: consume them and keep scanning.
-			r.pos += k
-			n += k
-			continue
-		}
-		ones := k - bits.Len64(inv)
-		r.pos += ones + 1 // the ones plus the terminating zero
-		return n + ones, nil
-	}
-}
-
-// Align advances the read position to the next multiple of unit bits.
-func (r *Reader) Align(unit int) error {
-	if unit <= 0 {
-		panic("bitio: non-positive alignment unit")
-	}
-	if pad := r.pos % unit; pad != 0 {
-		pad = unit - pad
-		if pad > r.nbit-r.pos {
-			r.pos = r.nbit
-			return ErrShortBuffer
-		}
-		r.pos += pad
-	}
-	return nil
 }
 
 // BitString renders the first n bits of buf as a string of '0' and '1'

@@ -111,58 +111,6 @@ func TestNegativeWidthPanics(t *testing.T) {
 	_ = w.WriteBits(0, -1)
 }
 
-func TestUnary(t *testing.T) {
-	w := NewWriter(0)
-	values := []int{0, 1, 2, 5, 13, 31}
-	for _, n := range values {
-		if err := w.WriteUnary(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewReader(w.Bytes(), w.Len())
-	for _, n := range values {
-		got, err := r.ReadUnary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != n {
-			t.Errorf("unary round trip: got %d want %d", got, n)
-		}
-	}
-}
-
-func TestAlign(t *testing.T) {
-	w := NewWriter(0)
-	_ = w.WriteBits(0x5, 3)
-	w.Align(8)
-	if w.Len() != 8 {
-		t.Fatalf("aligned length = %d, want 8", w.Len())
-	}
-	_ = w.WriteBits(0xAB, 8)
-	r := NewReader(w.Bytes(), w.Len())
-	v, _ := r.ReadBits(3)
-	if v != 0x5 {
-		t.Errorf("first field = %x", v)
-	}
-	if err := r.Align(8); err != nil {
-		t.Fatal(err)
-	}
-	v, _ = r.ReadBits(8)
-	if v != 0xAB {
-		t.Errorf("post-align field = %x, want 0xAB", v)
-	}
-}
-
-func TestAlignBadUnitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on zero alignment unit")
-		}
-	}()
-	w := NewWriter(0)
-	w.Align(0)
-}
-
 func TestSeek(t *testing.T) {
 	w := NewWriter(0)
 	_ = w.WriteBits(0xA, 4)

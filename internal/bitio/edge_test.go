@@ -6,8 +6,8 @@ import (
 )
 
 // Edge cases called out for the word-at-a-time rewrite: maximal fields that
-// span byte and word boundaries, mid-byte seeks, alignment after partial
-// writes, and reads that end exactly at the buffer boundary.
+// span byte and word boundaries, mid-byte seeks, and reads that end exactly
+// at the buffer boundary.
 
 func TestWriteRead64BitFieldSpanningBytes(t *testing.T) {
 	for lead := 0; lead <= 16; lead++ {
@@ -76,37 +76,6 @@ func TestSeekMidByteThenRead(t *testing.T) {
 	}
 }
 
-func TestWriterAlignAfterPartialWrites(t *testing.T) {
-	for _, unit := range []int{2, 7, 8, 16, 24, 32, 64} {
-		for lead := 0; lead < 2*unit && lead <= 70; lead++ {
-			w := NewWriter(0)
-			_ = w.WriteBits(^uint64(0), min(lead, 64))
-			if lead > 64 {
-				_ = w.WriteBits(^uint64(0), lead-64)
-			}
-			w.Align(unit)
-			if w.Len()%unit != 0 {
-				t.Fatalf("unit %d lead %d: Len %d not aligned", unit, lead, w.Len())
-			}
-			if w.Len() < lead || w.Len()-lead >= unit {
-				t.Fatalf("unit %d lead %d: padded to %d", unit, lead, w.Len())
-			}
-			// Padding must be zero bits.
-			r := NewReader(w.Bytes(), w.Len())
-			_ = r.Seek(lead)
-			for r.Remaining() > 0 {
-				b, err := r.ReadBit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b {
-					t.Fatalf("unit %d lead %d: nonzero padding bit", unit, lead)
-				}
-			}
-		}
-	}
-}
-
 func TestErrShortBufferExactBoundary(t *testing.T) {
 	w := NewWriter(0)
 	_ = w.WriteBits(0x3FF, 10)
@@ -167,32 +136,5 @@ func TestPeekDoesNotAdvance(t *testing.T) {
 	got, err := r.ReadBits(16)
 	if err != nil || got != v1 {
 		t.Fatalf("read after peek = %#x,%v want %#x", got, err, v1)
-	}
-}
-
-func TestReadUnaryAcrossWords(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 8, 63, 64, 65, 130} {
-		w := NewWriter(0)
-		_ = w.WriteBits(0, 3) // misalign
-		if err := w.WriteUnary(n); err != nil {
-			t.Fatal(err)
-		}
-		r := NewReader(w.Bytes(), w.Len())
-		_ = r.Seek(3)
-		got, err := r.ReadUnary()
-		if err != nil || got != n {
-			t.Fatalf("unary %d = %d,%v", n, got, err)
-		}
-	}
-	// A run of ones with no terminator exhausts the buffer.
-	w := NewWriter(0)
-	_ = w.WriteBits(^uint64(0), 64)
-	_ = w.WriteBits(^uint64(0), 13)
-	r := NewReader(w.Bytes(), w.Len())
-	if _, err := r.ReadUnary(); !errors.Is(err, ErrShortBuffer) {
-		t.Fatalf("unterminated unary err = %v", err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("unterminated unary left %d bits", r.Remaining())
 	}
 }

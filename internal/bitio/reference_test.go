@@ -49,26 +49,6 @@ func (w *refWriter) WriteBit(bit bool) {
 	_ = w.WriteBits(v, 1)
 }
 
-func (w *refWriter) WriteUnary(n int) error {
-	if n < 0 {
-		panic("bitio: negative unary value")
-	}
-	for i := 0; i < n; i++ {
-		w.WriteBit(true)
-	}
-	w.WriteBit(false)
-	return nil
-}
-
-func (w *refWriter) Align(unit int) {
-	if unit <= 0 {
-		panic("bitio: non-positive alignment unit")
-	}
-	for w.nbit%unit != 0 {
-		w.WriteBit(false)
-	}
-}
-
 // refReader is the bit-at-a-time Reader.
 type refReader struct {
 	buf  []byte
@@ -117,30 +97,4 @@ func (r *refReader) ReadBits(width int) (uint64, error) {
 func (r *refReader) ReadBit() (bool, error) {
 	v, err := r.ReadBits(1)
 	return v == 1, err
-}
-
-func (r *refReader) ReadUnary() (int, error) {
-	n := 0
-	for {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		if !b {
-			return n, nil
-		}
-		n++
-	}
-}
-
-func (r *refReader) Align(unit int) error {
-	if unit <= 0 {
-		panic("bitio: non-positive alignment unit")
-	}
-	for r.pos%unit != 0 {
-		if _, err := r.ReadBit(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

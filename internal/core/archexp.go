@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strings"
 
-	"uhm/internal/dtb"
 	"uhm/internal/metrics"
 	"uhm/internal/perfmodel"
 	"uhm/internal/workload/gen"
@@ -115,13 +114,7 @@ func (e Engine) ArchetypeSweep(ctx context.Context, archetypes []string,
 		ei := (i / programs) % len(entries)
 		pi := i % programs
 		runCfg := cfg
-		runCfg.DTB = dtb.Config{
-			Entries: entries[ei], Assoc: 4, UnitWords: cfg.DTB.UnitWords,
-			Policy: dtb.VariableOverflow, OverflowUnits: entries[ei] / 4,
-		}
-		if runCfg.DTB.UnitWords == 0 {
-			runCfg.DTB.UnitWords = 4
-		}
+		runCfg.DTB = figure2DTB(entries[ei], cfg.DTB.UnitWords)
 		rep, err := e.run(arts[ai][pi], WithDTB, runCfg)
 		if err != nil {
 			return fmt.Errorf("core: archetype sweep %s/%d entries: %w", archetypes[ai], entries[ei], err)
@@ -160,12 +153,7 @@ func (e Engine) ArchetypeSweep(ctx context.Context, archetypes []string,
 			if lookups > 0 {
 				row.HitRatio = float64(hits) / float64(lookups)
 			}
-			dcfg := dtb.Config{Entries: ent, Assoc: 4, UnitWords: cfg.DTB.UnitWords,
-				Policy: dtb.VariableOverflow, OverflowUnits: ent / 4}
-			if dcfg.UnitWords == 0 {
-				dcfg.UnitWords = 4
-			}
-			row.CapacityBytes = dcfg.CapacityBytes()
+			row.CapacityBytes = figure2DTB(ent, cfg.DTB.UnitWords).CapacityBytes()
 			rows = append(rows, row)
 		}
 	}

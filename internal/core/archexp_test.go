@@ -30,7 +30,7 @@ func TestArchetypeSweepSerialMatchesParallel(t *testing.T) {
 	cfg := engineTestConfig()
 	archetypes, programs := archexpTestAxes(t)
 
-	serialRows, err := SerialEngine().ArchetypeSweep(ctx, archetypes, programs, 1, cfg)
+	serialRows, err := Engine{Workers: 1}.ArchetypeSweep(ctx, archetypes, programs, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestArchetypeSweepShape(t *testing.T) {
 	cfg := engineTestConfig()
 	archetypes, programs := archexpTestAxes(t)
 
-	rows, err := ParallelEngine().ArchetypeSweep(ctx, archetypes, programs, 1, cfg)
+	rows, err := Engine{}.ArchetypeSweep(ctx, archetypes, programs, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestModelValidation(t *testing.T) {
 	cfg := engineTestConfig()
 	archetypes, programs := archexpTestAxes(t)
 
-	v, err := ParallelEngine().ModelValidation(ctx, archetypes, programs, 1, cfg)
+	v, err := Engine{}.ModelValidation(ctx, archetypes, programs, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestModelValidationDeterministic(t *testing.T) {
 	cfg := engineTestConfig()
 	archetypes, programs := archexpTestAxes(t)
 
-	a, err := ParallelEngine().ModelValidation(ctx, archetypes, programs, 1, cfg)
+	a, err := Engine{}.ModelValidation(ctx, archetypes, programs, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SerialEngine().ModelValidation(ctx, archetypes, programs, 1, cfg)
+	b, err := Engine{Workers: 1}.ModelValidation(ctx, archetypes, programs, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestModelValidationJSONRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	cfg := engineTestConfig()
 
-	v, err := ParallelEngine().ModelValidation(ctx, []string{"kernel"}, 1, 3, cfg)
+	v, err := Engine{}.ModelValidation(ctx, []string{"kernel"}, 1, 3, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestArchetypeAxisDefaults(t *testing.T) {
 	if got := archetypeAxis([]string{"kernel"}); !reflect.DeepEqual(got, []string{"kernel"}) {
 		t.Errorf("archetypeAxis(kernel) = %v", got)
 	}
-	if _, err := ParallelEngine().ArchetypeSweep(context.Background(),
+	if _, err := (Engine{}).ArchetypeSweep(context.Background(),
 		[]string{"no-such-archetype"}, 1, 1, engineTestConfig()); err == nil {
 		t.Error("unknown archetype: want error, got nil")
 	}

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 
@@ -340,11 +339,6 @@ func generateFor(archetype string, seed int64) (*gen.Program, error) {
 	return a.Generate(seed)
 }
 
-// CheckSeed generates the program for a seed and checks its conformance.
-func CheckSeed(seed int64, cfg Config) (*SeedResult, error) {
-	return CheckArchetypeSeed("", seed, cfg)
-}
-
 // CheckArchetypeSeed generates the named archetype's program for a seed
 // (uniform generator when archetype is empty) and checks its conformance.
 func CheckArchetypeSeed(archetype string, seed int64, cfg Config) (*SeedResult, error) {
@@ -365,86 +359,47 @@ type SweepResult struct {
 	Failing []*SeedResult
 }
 
-// ConformanceSweep checks seeds start..start+n-1 on a bounded worker pool,
-// reporting progress through the optional callback, which may be invoked
-// concurrently from several workers and must synchronize any state it
-// touches.  Failing seeds are returned in ascending order; infrastructure
-// errors abort the sweep.
-func ConformanceSweep(ctx context.Context, start int64, n, workers int, cfg Config,
-	progress func(done, failed int)) (*SweepResult, error) {
-	return ConformanceSweepArchetype(ctx, "", start, n, workers, cfg, progress)
-}
-
-// ConformanceSweepArchetype is ConformanceSweep over the named generator
-// archetype's programs (uniform generator when archetype is empty), so every
-// new program shape immediately feeds the same differential oracle.
+// ConformanceSweepArchetype checks the named generator archetype's programs
+// for seeds start..start+n-1 (the uniform generator when archetype is empty),
+// up to workers seeds at once (zero or negative: one per CPU), so every new
+// program shape immediately feeds the same differential oracle.  After each
+// checked seed it reports progress through the optional callback: done
+// counts the seeds checked so far and failed those among them that diverged.
+// The callback may be invoked concurrently from several workers and must
+// synchronize any state it touches.  Failing seeds are returned in ascending
+// order.  An infrastructure error aborts the sweep with the lowest failing
+// seed's error, as a serial sweep reports it.
 func ConformanceSweepArchetype(ctx context.Context, archetype string, start int64, n, workers int, cfg Config,
 	progress func(done, failed int)) (*SweepResult, error) {
 	if n <= 0 {
 		return &SweepResult{}, nil
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
 	var (
-		mu      sync.Mutex
-		failing []*SeedResult
-		done    int
-		firstEr error
+		mu           sync.Mutex
+		done, failed int
 	)
-	// failed closes once an infrastructure error is recorded, so the feed
-	// loop stops handing out seeds instead of finishing a long sweep whose
-	// result will be discarded.
-	failed := make(chan struct{})
-	seeds := make(chan int64)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seed := range seeds {
-				res, err := CheckArchetypeSeed(archetype, seed, cfg)
-				mu.Lock()
-				done++
-				if err != nil && firstEr == nil {
-					firstEr = err
-					close(failed)
-				}
-				if res != nil && len(res.Divergences) > 0 {
-					failing = append(failing, res)
-				}
-				d, f := done, len(failing)
-				mu.Unlock()
-				if progress != nil {
-					progress(d, f)
-				}
-			}
-		}()
-	}
-feed:
-	for seed := start; seed < start+int64(n); seed++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case <-failed:
-			break feed
-		case seeds <- seed:
+	failing := make([]*SeedResult, n) // by seed offset; nil where the seed conforms
+	err := Engine{Workers: workers}.forEach(ctx, n, func(i int) error {
+		res, err := CheckArchetypeSeed(archetype, start+int64(i), cfg)
+		if err != nil {
+			return err
 		}
-	}
-	close(seeds)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		mu.Lock()
+		done++
+		if len(res.Divergences) > 0 {
+			failing[i] = res
+			failed++
+		}
+		d, f := done, failed
+		mu.Unlock()
+		if progress != nil {
+			progress(d, f)
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if firstEr != nil {
-		return nil, firstEr
-	}
-	slices.SortFunc(failing, func(a, b *SeedResult) int {
-		return int(a.Seed - b.Seed)
-	})
+	failing = slices.DeleteFunc(failing, func(r *SeedResult) bool { return r == nil })
 	return &SweepResult{Seeds: n, Failing: failing}, nil
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"uhm/internal/workload"
@@ -18,7 +21,7 @@ func TestConformanceSmoke(t *testing.T) {
 	if testing.Short() {
 		n = 4
 	}
-	res, err := ConformanceSweep(context.Background(), 1, n, 0, DefaultConfig(), nil)
+	res, err := ConformanceSweepArchetype(context.Background(), "", 1, n, 0, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatalf("sweep: %v", err)
 	}
@@ -45,6 +48,84 @@ func TestConformanceSmokeArchetypes(t *testing.T) {
 			}
 			reportFailing(t, name, res)
 		})
+	}
+}
+
+// contractConfig caps the simulator's activation stack at two frames, so the
+// uniform generator's seeds 1..8 mix conforming programs with ones that call
+// deeper and diverge: the sweep tests below need both kinds.
+func contractConfig() Config {
+	cfg := DefaultConfig()
+	cfg.MaxDepth = 2
+	return cfg
+}
+
+// TestConformanceSweepWorkersAgree pins the sweep's contract at one worker
+// and at four: identical results, failing seeds in ascending order, and
+// progress reporting every done count 1..n exactly once, the last call
+// carrying the final number of failures.
+func TestConformanceSweepWorkersAgree(t *testing.T) {
+	const start, n = 1, 8
+	var results []*SweepResult
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		calls := make(map[int]int)
+		lastFailed := -1
+		res, err := ConformanceSweepArchetype(context.Background(), "", start, n, workers, contractConfig(),
+			func(done, failed int) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls[done]++
+				if done == n {
+					lastFailed = failed
+				}
+			})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		for done := 1; done <= n; done++ {
+			if calls[done] != 1 {
+				t.Errorf("workers %d: progress reported done=%d %d times, want once", workers, done, calls[done])
+			}
+		}
+		if len(calls) != n {
+			t.Errorf("workers %d: progress reported done values %v, want exactly 1..%d", workers, calls, n)
+		}
+		if lastFailed != len(res.Failing) {
+			t.Errorf("workers %d: progress reported %d failures at done=%d, the result has %d",
+				workers, lastFailed, n, len(res.Failing))
+		}
+		if res.Seeds != n {
+			t.Errorf("workers %d: Seeds = %d, want %d", workers, res.Seeds, n)
+		}
+		for i := 1; i < len(res.Failing); i++ {
+			if res.Failing[i-1].Seed >= res.Failing[i].Seed {
+				t.Errorf("workers %d: failing seeds out of order: %d before %d",
+					workers, res.Failing[i-1].Seed, res.Failing[i].Seed)
+			}
+		}
+		results = append(results, res)
+	}
+	if f := len(results[0].Failing); f == 0 || f == n {
+		t.Fatalf("%d of %d seeds fail; the contract needs failing and conforming seeds", f, n)
+	}
+	if !reflect.DeepEqual(results[0], results[1]) {
+		t.Errorf("4-worker sweep differs from 1-worker sweep:\n 1: %+v\n 4: %+v", results[0], results[1])
+	}
+}
+
+// TestConformanceSweepErrors: a cancelled context and an unknown archetype
+// each fail the sweep, at one worker and at four.
+func TestConformanceSweepErrors(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		if _, err := ConformanceSweepArchetype(cancelled, "", 1, 8, workers, contractConfig(), nil); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers %d: sweep on a cancelled context returned %v, want context.Canceled", workers, err)
+		}
+		if _, err := ConformanceSweepArchetype(context.Background(), "no-such-archetype", 1, 8, workers, contractConfig(), nil); err == nil {
+			t.Errorf("workers %d: unknown archetype: want error, got nil", workers)
+		}
 	}
 }
 

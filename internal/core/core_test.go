@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"maps"
 	"reflect"
 	"strings"
@@ -93,17 +94,19 @@ func TestTable1Report(t *testing.T) {
 }
 
 func TestTables2And3(t *testing.T) {
-	t2 := Table2()
-	t3 := Table3()
-	v2, _ := t2.Value(10, 5)
-	v3, _ := t3.Value(10, 5)
-	if v2 < 37 || v2 > 38 || v3 < 78 || v3 > 79 {
-		t.Errorf("corner cells: table2=%v table3=%v", v2, v3)
+	for name, corner := range map[string]string{"table2": "37.65", "table3": "78.82"} {
+		text, err := Engine{}.Experiment(context.Background(), name, ExperimentOptions{}, quickConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(text, corner) {
+			t.Errorf("%s missing corner cell %s:\n%s", name, corner, text)
+		}
 	}
 }
 
 func TestFigure1(t *testing.T) {
-	rows, err := Figure1([]string{"loopsum"}, quickConfig())
+	rows, err := Engine{}.Figure1(context.Background(), []string{"loopsum"}, quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestFigure1(t *testing.T) {
 }
 
 func TestFigure2(t *testing.T) {
-	org, rows, err := Figure2("", quickConfig())
+	org, rows, err := Engine{}.Figure2(context.Background(), "", quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +168,7 @@ func TestFigure2(t *testing.T) {
 func TestFigure3(t *testing.T) {
 	// callheavy calls 14 routines, more than the rendered top 10, so the
 	// whole IU1/IU2 activity is pinned here rather than through the report.
-	act, err := Figure3("callheavy", quickConfig())
+	act, err := Engine{}.Figure3(context.Background(), "callheavy", quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +200,7 @@ func TestFigure3(t *testing.T) {
 }
 
 func TestFigure4(t *testing.T) {
-	stats, err := Figure4("", quickConfig())
+	stats, err := Engine{}.Figure4(context.Background(), "", quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +219,7 @@ func TestFigure4(t *testing.T) {
 }
 
 func TestEmpirical(t *testing.T) {
-	rows, err := Empirical([]string{"loopsum", "fib"}, quickConfig())
+	rows, err := Engine{}.Empirical(context.Background(), []string{"loopsum", "fib"}, quickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +249,7 @@ func TestEmpirical(t *testing.T) {
 }
 
 func TestCompaction(t *testing.T) {
-	rows, err := Compaction([]string{"sieve", "fib"}, LevelStack)
+	rows, err := Engine{}.Compaction(context.Background(), []string{"sieve", "fib"}, LevelStack)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,10 +279,10 @@ func TestCompaction(t *testing.T) {
 func TestFigure1DefaultsAndEmpiricalDefaults(t *testing.T) {
 	// Smoke-test the default workload lists with a cheaper config.
 	cfg := quickConfig()
-	if _, err := Empirical(nil, cfg); err != nil {
+	if _, err := (Engine{}).Empirical(context.Background(), nil, cfg); err != nil {
 		t.Fatalf("Empirical defaults: %v", err)
 	}
-	if _, err := Compaction(nil, LevelStack); err != nil {
+	if _, err := (Engine{}).Compaction(context.Background(), nil, LevelStack); err != nil {
 		t.Fatalf("Compaction defaults: %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"uhm/internal/dtb"
-	"uhm/internal/perfmodel"
 	"uhm/internal/sim"
 	"uhm/internal/translate"
 )
@@ -54,15 +53,6 @@ func (e Engine) run(a *Artifact, strategy Strategy, cfg Config) (*Report, error)
 		return Run(a, strategy, cfg)
 	}
 }
-
-// SerialEngine returns the engine that runs every grid cell sequentially.
-func SerialEngine() Engine { return Engine{Workers: 1} }
-
-// ParallelEngine returns the engine with one worker per available CPU.
-func ParallelEngine() Engine { return Engine{} }
-
-// defaultEngine backs the package-level experiment functions.
-var defaultEngine = ParallelEngine()
 
 func (e Engine) workers() int {
 	if e.Workers > 0 {
@@ -136,24 +126,6 @@ func (e Engine) forEach(ctx context.Context, n int, fn func(i int) error) error 
 	return ctx.Err()
 }
 
-// --- Analytic tables ------------------------------------------------------
-
-// Table2 regenerates the paper's Table 2 grid on the engine's pool.
-func (e Engine) Table2(ctx context.Context) (*perfmodel.Table, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return perfmodel.Table2With(e.workers()), nil
-}
-
-// Table3 regenerates the paper's Table 3 grid on the engine's pool.
-func (e Engine) Table3(ctx context.Context) (*perfmodel.Table, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return perfmodel.Table3With(e.workers()), nil
-}
-
 // --- Figure 1 -------------------------------------------------------------
 
 // Figure1 sweeps the representation space: the workload × level grid of
@@ -212,9 +184,23 @@ func (e Engine) Figure1(ctx context.Context, workloads []string, cfg Config) ([]
 // figure2Entries is the DTB capacity axis of the Figure 2 sweep.
 var figure2Entries = []int{8, 16, 32, 64, 128, 256}
 
-// Figure2 measures the DTB hit ratio across buffer capacities.  The workload
-// is compiled and predecoded once; the capacity sweep shares that immutable
-// form across the pool.
+// figure2DTB is the DTB of one point on the Figure 2 capacity axis: 4-way,
+// variable-length allocation with a quarter of the entries' worth of overflow
+// units, of unitWords-word units (4 when zero).
+func figure2DTB(entries, unitWords int) dtb.Config {
+	if unitWords == 0 {
+		unitWords = 4
+	}
+	return dtb.Config{
+		Entries: entries, Assoc: 4, UnitWords: unitWords,
+		Policy: dtb.VariableOverflow, OverflowUnits: entries / 4,
+	}
+}
+
+// Figure2 describes the DTB organisation (Figure 2's arrays) and measures its
+// hit ratio across buffer capacities.  The workload is compiled and
+// predecoded once; the capacity sweep shares that immutable form across the
+// pool.
 func (e Engine) Figure2(ctx context.Context, workloadName string, cfg Config) (string, []Figure2Row, error) {
 	if workloadName == "" {
 		workloadName = "sieve"
@@ -230,13 +216,7 @@ func (e Engine) Figure2(ctx context.Context, workloadName string, cfg Config) (s
 	err = e.forEach(ctx, len(rows), func(i int) error {
 		entries := figure2Entries[i]
 		runCfg := cfg
-		runCfg.DTB = dtb.Config{
-			Entries: entries, Assoc: 4, UnitWords: cfg.DTB.UnitWords,
-			Policy: dtb.VariableOverflow, OverflowUnits: entries / 4,
-		}
-		if runCfg.DTB.UnitWords == 0 {
-			runCfg.DTB.UnitWords = 4
-		}
+		runCfg.DTB = figure2DTB(entries, cfg.DTB.UnitWords)
 		rep, err := e.run(art, WithDTB, runCfg)
 		if err != nil {
 			return err
@@ -265,11 +245,11 @@ func (e Engine) Figure2(ctx context.Context, workloadName string, cfg Config) (s
 
 // --- Section 7 empirical cross-check --------------------------------------
 
-// Empirical runs the workload × strategy grid: artifacts are compiled and
-// predecoded in parallel, then every (workload, strategy) cell runs on the
-// pool against its workload's shared predecoded program, and finally each
-// workload's outputs are verified to agree across strategies, as sim.RunAll
-// does serially.
+// Empirical runs every organisation on every workload at the configured
+// encoding degree: artifacts are compiled and predecoded in parallel, then
+// every (workload, strategy) cell runs on the pool against its workload's
+// shared predecoded program, and finally each workload's outputs are
+// verified to agree across strategies (sim.VerifyOutputs).
 func (e Engine) Empirical(ctx context.Context, workloads []string, cfg Config) ([]EmpiricalRow, error) {
 	if len(workloads) == 0 {
 		workloads = DefaultExperimentWorkloads()
@@ -318,7 +298,8 @@ func (e Engine) Empirical(ctx context.Context, workloads []string, cfg Config) (
 
 // --- §3.2 compaction study -------------------------------------------------
 
-// Compaction measures the static-size study, one workload per pool slot.
+// Compaction measures the §3.2 claim that encoding reduces program size by
+// 25–75 percent, one workload per pool slot.
 func (e Engine) Compaction(ctx context.Context, workloads []string, level Level) ([]CompactionRow, error) {
 	if len(workloads) == 0 {
 		workloads = DefaultExperimentWorkloads()

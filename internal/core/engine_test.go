@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -15,45 +14,22 @@ func engineTestConfig() Config {
 	return cfg
 }
 
-// TestParallelEngineMatchesSerial renders every grid experiment under both
+// TestEngineParallelMatchesSerial renders every grid experiment under both
 // engines and requires byte-identical reports.
-func TestParallelEngineMatchesSerial(t *testing.T) {
+func TestEngineParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	cfg := engineTestConfig()
-	serial, parallel := SerialEngine(), Engine{Workers: 8}
+	serial, parallel := Engine{Workers: 1}, Engine{Workers: 8}
 
 	render := func(e Engine) map[string]string {
 		out := make(map[string]string)
-		t2, err := e.Table2(ctx)
-		if err != nil {
-			t.Fatal(err)
+		for _, name := range []string{"figure1", "figure2", "empirical", "compaction"} {
+			text, err := e.Experiment(ctx, name, ExperimentOptions{}, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			out[name] = text
 		}
-		out["table2"] = t2.Render()
-		t3, err := e.Table3(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["table3"] = t3.Render()
-		f1, err := e.Figure1(ctx, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["figure1"] = RenderFigure1(f1)
-		org, f2, err := e.Figure2(ctx, "", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["figure2"] = RenderFigure2(org, f2)
-		emp, err := e.Empirical(ctx, nil, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["empirical"] = RenderEmpirical(emp)
-		comp, err := e.Compaction(ctx, nil, LevelStack)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["compaction"] = RenderCompaction(comp)
 		return out
 	}
 
@@ -65,23 +41,13 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentUse drives the engine and the package-level table
-// entry points from many goroutines at once — the race-detector coverage for
-// the shared predecoded programs and the worker pool — and asserts every
-// goroutine sees identical cells.
+// TestEngineConcurrentUse drives the engine from many goroutines at once —
+// the race-detector coverage for the shared predecoded programs and the
+// worker pool — and asserts every goroutine sees the serial engine's report.
 func TestEngineConcurrentUse(t *testing.T) {
 	ctx := context.Background()
 	cfg := engineTestConfig()
-	wantT2, wantT3 := SerialEngine(), SerialEngine()
-	t2, err := wantT2.Table2(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := wantT3.Table3(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantEmp, err := SerialEngine().Empirical(ctx, []string{"loopsum", "fib"}, cfg)
+	wantEmp, err := Engine{Workers: 1}.Empirical(ctx, []string{"loopsum", "fib"}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,15 +60,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if cells := Table2().Cells; !reflect.DeepEqual(cells, t2.Cells) {
-				errc <- fmt.Errorf("goroutine %d: Table2 cells diverged", g)
-				return
-			}
-			if cells := Table3().Cells; !reflect.DeepEqual(cells, t3.Cells) {
-				errc <- fmt.Errorf("goroutine %d: Table3 cells diverged", g)
-				return
-			}
-			rows, err := ParallelEngine().Empirical(ctx, []string{"loopsum", "fib"}, cfg)
+			rows, err := Engine{}.Empirical(ctx, []string{"loopsum", "fib"}, cfg)
 			if err != nil {
 				errc <- fmt.Errorf("goroutine %d: %w", g, err)
 				return
@@ -123,11 +81,8 @@ func TestEngineConcurrentUse(t *testing.T) {
 func TestEngineCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ParallelEngine().Figure1(ctx, nil, engineTestConfig()); !errors.Is(err, context.Canceled) {
+	if _, err := (Engine{}).Figure1(ctx, nil, engineTestConfig()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Figure1 on cancelled context: %v", err)
-	}
-	if _, err := ParallelEngine().Table2(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Table2 on cancelled context: %v", err)
 	}
 }
 
@@ -137,7 +92,7 @@ func TestEngineErrorMatchesSerial(t *testing.T) {
 	ctx := context.Background()
 	cfg := engineTestConfig()
 	workloads := []string{"loopsum", "no-such-workload", "fib"}
-	_, serialErr := SerialEngine().Empirical(ctx, workloads, cfg)
+	_, serialErr := Engine{Workers: 1}.Empirical(ctx, workloads, cfg)
 	_, parallelErr := Engine{Workers: 8}.Empirical(ctx, workloads, cfg)
 	if serialErr == nil || parallelErr == nil {
 		t.Fatalf("expected errors, got serial=%v parallel=%v", serialErr, parallelErr)

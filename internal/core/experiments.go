@@ -17,10 +17,10 @@ import (
 )
 
 // This file contains one entry point per table and figure of the paper's
-// evaluation.  Each returns structured data plus a Render helper so
-// cmd/uhmbench, the examples and the benchmark harness all print identical
-// reports.  The experiment-to-module map lives in DESIGN.md; measured-versus-
-// published values are recorded in EXPERIMENTS.md.
+// evaluation: an Engine method returning structured data, plus a Render
+// helper so cmd/uhmbench, the examples and the benchmark harness all print
+// identical reports.  ARCHITECTURE.md's experiment table maps each one to
+// the paper.
 
 // DefaultExperimentWorkloads are the workloads the figure experiments sweep
 // when the caller does not choose their own.
@@ -66,11 +66,9 @@ func (e Engine) Experiment(ctx context.Context, name string, opts ExperimentOpti
 	case "table1":
 		return Table1Report(), nil
 	case "table2":
-		t, err := e.Table2(ctx)
-		return rendered(t, err, (*perfmodel.Table).Render)
+		return perfmodel.Table2().Render(), nil
 	case "table3":
-		t, err := e.Table3(ctx)
-		return rendered(t, err, (*perfmodel.Table).Render)
+		return perfmodel.Table3().Render(), nil
 	case "figure1":
 		rows, err := e.Figure1(ctx, workloads, cfg)
 		return rendered(rows, err, RenderFigure1)
@@ -114,22 +112,6 @@ func Table1Report() string {
 	return dir.Table1Report(dir.DefaultTable1Params())
 }
 
-// --- Tables 2 and 3 ------------------------------------------------------
-
-// Table2 regenerates the paper's Table 2 (analytic model) on the default
-// parallel engine.
-func Table2() *perfmodel.Table {
-	t, _ := defaultEngine.Table2(context.Background()) // only fails on ctx cancellation
-	return t
-}
-
-// Table3 regenerates the paper's Table 3 (analytic model) on the default
-// parallel engine.
-func Table3() *perfmodel.Table {
-	t, _ := defaultEngine.Table3(context.Background()) // only fails on ctx cancellation
-	return t
-}
-
 // --- Figure 1: the space of program representations ----------------------
 
 // Figure1Row is one point of the representation space: a workload compiled at
@@ -146,11 +128,6 @@ type Figure1Row struct {
 	TotalCycles    int64
 	PerInstruction float64
 	MeasuredDecode float64
-}
-
-// Figure1 sweeps the representation space on the default parallel engine.
-func Figure1(workloads []string, cfg Config) ([]Figure1Row, error) {
-	return defaultEngine.Figure1(context.Background(), workloads, cfg)
 }
 
 // RenderFigure1 formats the sweep in the layout of Figure 1's two axes.
@@ -175,12 +152,6 @@ type Figure2Row struct {
 	HitRatio      float64
 	Evictions     int64
 	Overflows     int64
-}
-
-// Figure2 describes the DTB organisation (Figure 2's arrays) and measures
-// its hit ratio across a range of capacities on the default parallel engine.
-func Figure2(workloadName string, cfg Config) (string, []Figure2Row, error) {
-	return defaultEngine.Figure2(context.Background(), workloadName, cfg)
 }
 
 // RenderFigure2 formats the capacity sweep.
@@ -215,14 +186,9 @@ type Figure3Activity struct {
 }
 
 // Figure3 runs one workload under the DTB organisation and reports the
-// activity of every block in Figure 3's diagram, on the default engine.
-func Figure3(workloadName string, cfg Config) (*Figure3Activity, error) {
-	return defaultEngine.Figure3(context.Background(), workloadName, cfg)
-}
-
-// Figure3 is the engine form of the per-unit activity experiment; the
-// workload is resolved through the engine's Build hook, so a registry-backed
-// engine reuses the shared artifact.
+// activity of every block in Figure 3's diagram.  The workload is resolved
+// through the engine's Build hook, so a registry-backed engine reuses the
+// shared artifact.
 func (e Engine) Figure3(ctx context.Context, workloadName string, cfg Config) (*Figure3Activity, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -366,14 +332,8 @@ type Figure4Stats struct {
 	TranslateAvg float64
 }
 
-// Figure4 measures the INTERP hit and miss paths on one workload, on the
-// default engine.
-func Figure4(workloadName string, cfg Config) (*Figure4Stats, error) {
-	return defaultEngine.Figure4(context.Background(), workloadName, cfg)
-}
-
-// Figure4 is the engine form of the INTERP path experiment; the workload is
-// resolved through the engine's Build hook.
+// Figure4 measures the INTERP hit and miss paths on one workload, resolved
+// through the engine's Build hook.
 func (e Engine) Figure4(ctx context.Context, workloadName string, cfg Config) (*Figure4Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -439,12 +399,6 @@ type EmpiricalRow struct {
 	Reports  []*Report
 }
 
-// Empirical runs every organisation on every workload at the configured
-// encoding degree, on the default parallel engine.
-func Empirical(workloads []string, cfg Config) ([]EmpiricalRow, error) {
-	return defaultEngine.Empirical(context.Background(), workloads, cfg)
-}
-
 // RenderEmpirical formats the comparison, including the measured counterparts
 // of the paper's F2 figure of merit.
 func RenderEmpirical(rows []EmpiricalRow) string {
@@ -494,12 +448,6 @@ type CompactionRow struct {
 	Reduction  map[Degree]float64 // fraction saved relative to DegreePacked
 	Expanded   int                // bits of the fully expanded PSDER form
 	Interprets map[Degree]int     // codebook bits per degree
-}
-
-// Compaction measures the §3.2 claim that encoding reduces program size by
-// 25–75 percent, on the default parallel engine.
-func Compaction(workloads []string, level Level) ([]CompactionRow, error) {
-	return defaultEngine.Compaction(context.Background(), workloads, level)
 }
 
 // RenderCompaction formats the compaction study.

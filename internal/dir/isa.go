@@ -400,17 +400,6 @@ func (p *Program) VisibleVars(c int) []ContourVar {
 	return out
 }
 
-// VisibleIndex returns the index of addr within VisibleVars(c), or -1 if the
-// address is not visible from contour c.
-func (p *Program) VisibleIndex(c int, addr VarAddr) int {
-	for i, v := range p.VisibleVars(c) {
-		if v.Addr == addr {
-			return i
-		}
-	}
-	return -1
-}
-
 // InstructionMix returns the count of each opcode in the static program, a
 // basic statistic for the encoding studies.
 func (p *Program) InstructionMix() map[Opcode]int {

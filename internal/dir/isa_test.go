@@ -211,11 +211,16 @@ func TestVisibleVarsAndIndex(t *testing.T) {
 	if procVis[0].Addr != (VarAddr{0, 0}) || procVis[3].Addr != (VarAddr{1, 1}) {
 		t.Errorf("visible order = %v", procVis)
 	}
-	if idx := p.VisibleIndex(1, VarAddr{1, 0}); idx != 2 {
-		t.Errorf("VisibleIndex(1, 1.0) = %d, want 2", idx)
+	// The contour encoder indexes operands into the same lists.
+	bin, err := Encode(p, DegreeContour)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if idx := p.VisibleIndex(0, VarAddr{1, 0}); idx != -1 {
-		t.Errorf("VisibleIndex(0, 1.0) = %d, want -1 (not visible)", idx)
+	if idx := bin.visibleIndex(1, VarAddr{1, 0}); idx != 2 {
+		t.Errorf("visibleIndex(1, 1.0) = %d, want 2", idx)
+	}
+	if idx := bin.visibleIndex(0, VarAddr{1, 0}); idx != -1 {
+		t.Errorf("visibleIndex(0, 1.0) = %d, want -1 (not visible)", idx)
 	}
 	if vis := p.VisibleVars(-1); vis != nil {
 		t.Error("VisibleVars(-1) should be nil")

@@ -7,5 +7,6 @@
 // cost — where the short-format words and the DIR bits come from (DTB, cache
 // or level-2 memory) is the simulator's concern, because that placement is
 // precisely what the three organisations of §7 vary.  Nor does it count
-// activity per op; core.Figure3 does, over each sequence's executed prefix.
+// activity per op; core.Engine.Figure3 does, over each sequence's executed
+// prefix.
 package host

@@ -28,24 +28,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRowf appends a row of formatted values.
-func (t *Table) AddRowf(values ...any) {
-	cells := make([]string, len(values))
-	for i, v := range values {
-		switch x := v.(type) {
-		case string:
-			cells[i] = x
-		case float64:
-			cells[i] = Float(x)
-		case float32:
-			cells[i] = Float(float64(x))
-		default:
-			cells[i] = fmt.Sprint(v)
-		}
-	}
-	t.AddRow(cells...)
-}
-
 // Render formats the table as aligned text.
 func (t *Table) Render() string {
 	widths := make([]int, len(t.Headers))
@@ -91,14 +73,6 @@ func Float(v float64) string { return fmt.Sprintf("%.2f", v) }
 
 // Percent formats a ratio in [0,1] as a percentage.
 func Percent(ratio float64) string { return fmt.Sprintf("%.1f%%", ratio*100) }
-
-// Ratio formats the ratio a/b, guarding against a zero denominator.
-func Ratio(a, b float64) string {
-	if b == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.2fx", a/b)
-}
 
 // Bits formats a bit count with a byte equivalent.
 func Bits(bits int) string {

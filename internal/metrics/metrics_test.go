@@ -33,29 +33,12 @@ func TestTableWithoutTitle(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tbl := NewTable("t", "s", "f", "i", "f32")
-	tbl.AddRowf("str", 3.14159, 7, float32(2.5))
-	out := tbl.Render()
-	for _, want := range []string{"str", "3.14", "7", "2.50"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if Float(1.005) != "1.00" && Float(1.005) != "1.01" {
 		t.Errorf("Float = %q", Float(1.005))
 	}
 	if Percent(0.8) != "80.0%" {
 		t.Errorf("Percent = %q", Percent(0.8))
-	}
-	if Ratio(10, 4) != "2.50x" {
-		t.Errorf("Ratio = %q", Ratio(10, 4))
-	}
-	if Ratio(1, 0) != "n/a" {
-		t.Errorf("Ratio with zero denominator = %q", Ratio(1, 0))
 	}
 	if Bits(16) != "16 bits (2.0 bytes)" {
 		t.Errorf("Bits = %q", Bits(16))

@@ -30,6 +30,5 @@
 // published grids exactly, using the closed-form expressions of §7 (the
 // paper prints F2 = (7.4 + 0.6d)/(8 + 0.4d + x) × 100; the matching Table 2
 // closed form is (0.4 + 0.6d)/(8 + 0.4d + x) × 100).  Note that the closed
-// forms embody the paper's worked substitution of its nominal parameters;
-// EXPERIMENTS.md records how they relate to the symbolic model.
+// forms embody the paper's worked substitution of its nominal parameters.
 package perfmodel

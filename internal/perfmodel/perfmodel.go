@@ -3,7 +3,6 @@ package perfmodel
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Params are the §7 model parameters.  All times are in level-1 access-time
@@ -182,11 +181,8 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// buildTable evaluates the closed form over the published grid.  With
-// workers > 1 the rows are computed concurrently (each cell is written by
-// exactly one goroutine, so the resulting table is identical to the serial
-// one).
-func buildTable(name, caption string, f func(d, x float64) float64, workers int) *Table {
+// buildTable evaluates the closed form over the published grid.
+func buildTable(name, caption string, f func(d, x float64) float64) *Table {
 	t := &Table{
 		Name:    name,
 		Caption: caption,
@@ -194,55 +190,30 @@ func buildTable(name, caption string, f func(d, x float64) float64, workers int)
 		XValues: append([]float64(nil), TableXValues...),
 		Cells:   make([][]float64, len(TableDValues)),
 	}
-	fillRow := func(i int) {
-		row := make([]float64, len(t.XValues))
+	for i, d := range t.DValues {
+		t.Cells[i] = make([]float64, len(t.XValues))
 		for j, x := range t.XValues {
-			row[j] = f(t.DValues[i], x)
+			t.Cells[i][j] = f(d, x)
 		}
-		t.Cells[i] = row
 	}
-	if workers <= 1 {
-		for i := range t.DValues {
-			fillRow(i)
-		}
-		return t
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range t.DValues {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			fillRow(i)
-			<-sem
-		}()
-	}
-	wg.Wait()
 	return t
 }
 
 // Table2 regenerates Table 2 of the paper: the percentage increase in the
 // average DIR instruction interpretation time due to using the DTB as a
 // cache on the level-2 memory, for the published d and x grid.
-func Table2() *Table { return Table2With(1) }
-
-// Table2With regenerates Table 2 using up to workers goroutines.
-func Table2With(workers int) *Table {
+func Table2() *Table {
 	return buildTable("Table 2",
 		"Percentage increase in the average DIR instruction interpretation time due to using the DTB as a cache on the level 2 memory",
-		ClosedFormF1, workers)
+		ClosedFormF1)
 }
 
 // Table3 regenerates Table 3 of the paper: the percentage increase due to
 // not using the DTB.
-func Table3() *Table { return Table3With(1) }
-
-// Table3With regenerates Table 3 using up to workers goroutines.
-func Table3With(workers int) *Table {
+func Table3() *Table {
 	return buildTable("Table 3",
 		"Percentage increase in the average DIR instruction interpretation time due to not using the DTB",
-		ClosedFormF2, workers)
+		ClosedFormF2)
 }
 
 // Sweep evaluates the symbolic model over a grid of d and x values using the

@@ -1,10 +1,10 @@
-// Chaos conformance: the robustness counterpart of core.ConformanceSweep.
-// Where the conformance sweep checks that every organisation computes the
-// same answer, the chaos sweep checks that the service stack keeps its
-// invariants under injected failure: each seeded fault plan
-// (faultinject.RandomPlan) is activated against a fresh Service and a
-// concurrent mixed workload, and afterwards the books must balance exactly —
-// no leaked or double-returned pool replayers, byte-exact registry
+// Chaos conformance: the robustness counterpart of the differential
+// conformance sweep (uhmbench -gen).  Where that sweep checks that every
+// organisation computes the same answer, the chaos sweep checks that the
+// service stack keeps its invariants under injected failure: each seeded
+// fault plan (faultinject.RandomPlan) is activated against a fresh Service
+// and a concurrent mixed workload, and afterwards the books must balance
+// exactly — no leaked or double-returned pool replayers, byte-exact registry
 // accounting, every response correct-or-structured-error, failed builds
 // retryable, and the drain always terminating.  A violated invariant is
 // reported with its reproducer seed, like a generator divergence.

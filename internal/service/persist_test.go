@@ -225,7 +225,7 @@ func TestQuarantineDeletesContainer(t *testing.T) {
 	if entries, _ := st.Usage(); entries != 1 {
 		t.Fatalf("%d containers before quarantine", entries)
 	}
-	if !svc.QuarantineSource(persistSrc, core.LevelStack) {
+	if !svc.Registry().Quarantine(KeyOf(persistSrc, core.LevelStack)) {
 		t.Fatal("quarantine reported already-quarantined")
 	}
 	if entries, _ := st.Usage(); entries != 0 {

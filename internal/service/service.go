@@ -220,13 +220,6 @@ func (s *Service) AdmitExclusive(ctx context.Context, fn func(ctx context.Contex
 	return fn(ctx)
 }
 
-// QuarantineSource marks the program's content address as a poison pill: it
-// will never be rebuilt or rerun by this process.  cmd/uhmd's last-resort
-// panic recovery uses it when a crash escapes the service-level isolation.
-func (s *Service) QuarantineSource(src string, level core.Level) bool {
-	return s.registry.Quarantine(KeyOf(src, level))
-}
-
 // Request names one program and the point of the simulation space to run it
 // at: a built-in Workload, or submitted Source labelled by Name, built at
 // Level and simulated under Config.

@@ -252,7 +252,7 @@ func TestPoolConfigFingerprint(t *testing.T) {
 	zeroDepth.MaxDepth = 0 // normalizes to the default
 	defaulted := cfg
 	defaulted.MaxDepth = sim.DefaultConfig().MaxDepth
-	if cfg.MaxDepth == defaulted.MaxDepth && !zeroDepth.Equivalent(defaulted) {
+	if cfg.MaxDepth == defaulted.MaxDepth && zeroDepth.Fingerprint() != defaulted.Fingerprint() {
 		t.Fatal("zero MaxDepth must fingerprint like the default")
 	}
 

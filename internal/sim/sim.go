@@ -114,10 +114,6 @@ type Fingerprint struct {
 // hashing, no allocation.
 func (c Config) Fingerprint() Fingerprint { return Fingerprint{cfg: c.Normalize()} }
 
-// Equivalent reports whether two configurations select identical simulation
-// behaviour (they normalize to the same configuration).
-func (c Config) Equivalent(o Config) bool { return c.Fingerprint() == o.Fingerprint() }
-
 // Measured are the §7 model parameters as actually observed during the run.
 type Measured struct {
 	D  float64 // average decode steps per decoded instruction
@@ -186,7 +182,8 @@ func (r *Report) Clone() *Report {
 var (
 	// ErrInstructionLimit is returned when the run exceeds MaxInstructions.
 	ErrInstructionLimit = errors.New("sim: instruction limit exceeded")
-	// ErrOutputMismatch is returned by RunAll when strategies disagree.
+	// ErrOutputMismatch is returned by RunAllPredecoded and VerifyOutputs
+	// when strategies disagree.
 	ErrOutputMismatch = errors.New("sim: strategies produced different output")
 )
 
@@ -575,21 +572,10 @@ func (r *Replayer) fetchFromLevel2(seg *memory.Segment, bin *dir.Binary, pc int,
 	return total, nil
 }
 
-// RunAll runs every strategy on the same program and verifies that all of
-// them produce identical output (they share the semantic-routine library, so
-// anything else is a bug).  Reports are returned in Strategies() order.  The
-// program is predecoded once and shared by every strategy.
-func RunAll(p *dir.Program, cfg Config) ([]*Report, error) {
-	pp, err := Predecode(p, cfg.Degree)
-	if err != nil {
-		return nil, err
-	}
-	return RunAllPredecoded(pp, cfg)
-}
-
 // RunAllPredecoded runs every strategy on one shared predecoded program and
-// verifies that all of them produce identical output.  Reports are returned
-// in Strategies() order.
+// verifies that all of them produce identical output (they share the
+// semantic-routine library, so anything else is a bug).  Reports are
+// returned in Strategies() order.
 func RunAllPredecoded(pp *PredecodedProgram, cfg Config) ([]*Report, error) {
 	var reports []*Report
 	for _, s := range Strategies() {

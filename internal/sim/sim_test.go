@@ -43,8 +43,11 @@ func TestAllStrategiesProduceReferenceOutput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dp := workload.MustCompileAt(name, compile.LevelStack)
-		reports, err := RunAll(dp, smallConfig())
+		pp, err := Predecode(workload.MustCompileAt(name, compile.LevelStack), smallConfig().Degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports, err := RunAllPredecoded(pp, smallConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -219,8 +222,11 @@ func TestSemanticCyclesIdenticalAcrossStrategies(t *testing.T) {
 	// compiled organisation is the exception by design: its native code has
 	// the IU2 issue and binding overhead compiled away, so its x must be
 	// strictly smaller.  Instruction counts still agree everywhere.
-	dp := workload.MustCompileAt("fib", compile.LevelStack)
-	reports, err := RunAll(dp, smallConfig())
+	pp, err := Predecode(workload.MustCompileAt("fib", compile.LevelStack), smallConfig().Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := RunAllPredecoded(pp, smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
