@@ -13,7 +13,7 @@
 // A bundle is a plain concatenation of containers, so bundles can themselves
 // be concatenated.  Every import re-verifies each container's content hash
 // before it is admitted; verify goes further and records each stored trace
-// afresh from its DIR program, proving that the trace a warm start adopts
+// afresh from its DIR program, proving that the trace a warm start binds
 // without executing the program is the one this build would record and
 // price.
 package main

@@ -116,7 +116,7 @@ func TestVerify(t *testing.T) {
 }
 
 // TestVerifyRejectsAlteredTrace: a container that verifies by hash but whose
-// trace disagrees with a fresh recording — the trace a warm start would adopt
+// trace disagrees with a fresh recording — the trace a warm start would bind
 // without executing — fails verify, and the FAIL line names the container.
 func TestVerifyRejectsAlteredTrace(t *testing.T) {
 	dir, key := populatedStore(t)

@@ -3,14 +3,17 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"uhm/internal/sim"
 )
 
 // TestArtifactPredecodedConcurrentStress pins the one-build-per-degree
 // guarantee the service registry relies on: any number of goroutines hitting
 // one artifact across mixed degrees must all receive the same shared
 // PredecodedProgram instance per degree — the build happened exactly once —
-// and the instances must be immediately usable.  Run under -race (CI does),
-// this also pins that the lazy build publishes safely.
+// every degree must share the artifact's one binding, and the instances must
+// be immediately usable.  Run under -race (CI does), this also pins that the
+// lazy build publishes safely.
 func TestArtifactPredecodedConcurrentStress(t *testing.T) {
 	art, err := BuildWorkload("sieve", LevelStack)
 	if err != nil {
@@ -36,13 +39,19 @@ func TestArtifactPredecodedConcurrentStress(t *testing.T) {
 					t.Errorf("degree %v: %v", degree, err)
 					return
 				}
-				// Touch the shared structure the way a simulator would, so
-				// the race detector sees cross-goroutine reads of the
-				// freshly published build.
+				// Touch the shared structure the way a simulator and the
+				// registry would, so the race detector sees cross-goroutine
+				// reads of the freshly published build and of the binding
+				// every degree records its one trace on.
 				if pp.NumInstrs() == 0 || pp.Sequence(0).Words() == 0 {
 					t.Errorf("degree %v: empty predecoded program", degree)
 					return
 				}
+				if tr, err := pp.Trace(); err != nil || tr == nil {
+					t.Errorf("degree %v: trace %v, %v", degree, tr, err)
+					return
+				}
+				_ = art.FootprintBytes()
 				results[di][g] = pp
 			}()
 		}
@@ -66,6 +75,9 @@ func TestArtifactPredecodedConcurrentStress(t *testing.T) {
 			t.Fatalf("degree %v shares an instance with another degree", degree)
 		}
 		byDegree[first] = true
+		if b := first.(*sim.PredecodedProgram).Binding; b != art.Binding {
+			t.Fatalf("degree %v is predecoded on a binding other than the artifact's", degree)
+		}
 	}
 
 	// The footprint/invalidation view agrees: exactly one cached program per

@@ -129,13 +129,20 @@ func checkLevel(name string, prog *hlr.Program, want []int64, level Level, cfg C
 			Detail: fmt.Sprintf("reference DIR output %v, oracle %v", abbrev(execRes.Output), abbrev(want))})
 	}
 
+	// The translation, closures and trace depend only on the DIR, so the
+	// level binds once and every degree predecodes on that binding.
+	b, err := sim.Bind(dp, nil)
+	if err != nil {
+		report(Divergence{Kind: DivergeDecode, Detail: fmt.Sprintf("bind for simulation: %v", err)})
+		return divs
+	}
 	for _, degree := range Degrees() {
-		divs = append(divs, checkDegree(name, dp, want, execRes.Executed, level, degree, cfg)...)
+		divs = append(divs, checkDegree(name, b, want, execRes.Executed, level, degree, cfg)...)
 	}
 	return divs
 }
 
-func checkDegree(name string, dp *dir.Program, want []int64, wantInstrs int64,
+func checkDegree(name string, b *sim.Binding, want []int64, wantInstrs int64,
 	level Level, degree Degree, cfg Config) []Divergence {
 	var divs []Divergence
 	report := func(d Divergence) {
@@ -146,6 +153,7 @@ func checkDegree(name string, dp *dir.Program, want []int64, wantInstrs int64,
 		divs = append(divs, d)
 	}
 
+	dp := b.Program
 	bin, err := dir.Encode(dp, degree)
 	if err != nil {
 		report(Divergence{Kind: DivergeEncode, Detail: err.Error()})
@@ -154,6 +162,8 @@ func checkDegree(name string, dp *dir.Program, want []int64, wantInstrs int64,
 
 	// Invariant (b): encode→decode must reproduce the compiled instructions
 	// exactly, and re-encoding the decoded program must be bit-identical.
+	// This is the gate for decoder faithfulness: the binding translates the
+	// compiled instructions, so the simulation never reads the decoded ones.
 	pd, err := bin.Predecode()
 	if err != nil {
 		report(Divergence{Kind: DivergeDecode, Detail: err.Error()})
@@ -175,7 +185,7 @@ func checkDegree(name string, dp *dir.Program, want []int64, wantInstrs int64,
 			Detail: fmt.Sprintf("re-encoded binary differs: %d bits vs %d bits", bin2.SizeBits(), bin.SizeBits())})
 	}
 
-	pp, err := sim.PredecodeBinary(bin)
+	pp, err := b.PredecodeBinary(bin)
 	if err != nil {
 		report(Divergence{Kind: DivergeDecode, Detail: fmt.Sprintf("predecode for simulation: %v", err)})
 		return divs
@@ -193,8 +203,8 @@ func checkDegree(name string, dp *dir.Program, want []int64, wantInstrs int64,
 			strategy == rotating, runCfg)...)
 	}
 
-	// The fresh sim.Run path (its own encode + predecode, no reuse) must
-	// agree with the Replayer path.
+	// The fresh sim.Run path (its own bind, encode and predecode, no reuse)
+	// must agree with the Replayer path.
 	fresh := rotating
 	rep, err := sim.Run(dp, fresh, runCfg)
 	if err != nil {

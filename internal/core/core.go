@@ -61,26 +61,22 @@ func Strategies() []Strategy { return sim.Strategies() }
 // Workloads lists the built-in workload programs.
 func Workloads() []string { return workload.Names() }
 
-// Artifact is a program carried through the pipeline: the parsed HLR, the
-// compiled DIR and the semantic level it was compiled at.  An Artifact also
-// caches the predecoded form of its DIR at each encoding degree, so sweeps
-// that revisit the artifact — every strategy of a comparison, every capacity
-// of a DTB sweep, repeated benchmark iterations — decode and translate it
-// exactly once.  The cache is safe for concurrent use.
+// Artifact is a program carried through the pipeline: its MiniLang source,
+// the compiled DIR, the semantic level it was compiled at, and the DIR's
+// binding — the translation, closures and trace that no degree of encoding
+// changes.  An Artifact also caches the predecoded form of its DIR at each
+// degree, all on that one binding, so sweeps that revisit the artifact —
+// every strategy of a comparison, every degree, repeated benchmark
+// iterations — translate, compile and record once and decode once per
+// degree.  The cache is safe for concurrent use.
 type Artifact struct {
-	Name  string
-	Level Level
-	HLR   *hlr.Program
-	DIR   *dir.Program
+	Name    string
+	Level   Level
+	Source  string
+	DIR     *dir.Program
+	Binding *sim.Binding
 
-	// tr is the canonical execution trace rehydrated from a persisted
-	// snapshot, adopted by every predecoded form so warm-started artifacts
-	// derive reports without re-executing.  It is immutable after Rehydrate
-	// and nil on freshly built artifacts.
-	tr *trace.Trace
-
-	preMu sync.Mutex
-	pre   map[Degree]*predecodeEntry
+	pre [dir.NumDegrees]predecodeEntry
 }
 
 // predecodeEntry dedups predecoding per degree while letting different
@@ -95,26 +91,32 @@ type predecodeEntry struct {
 	done atomic.Bool
 }
 
+// newArtifact binds the compiled DIR program — seeding the binding with tr,
+// a persisted trace, when it is not nil — and wraps it as an Artifact.
+func newArtifact(name string, level Level, src string, dp *dir.Program, tr *trace.Trace) (*Artifact, error) {
+	b, err := sim.Bind(dp, tr)
+	if err != nil {
+		return nil, fmt.Errorf("core: bind %s: %w", name, err)
+	}
+	return &Artifact{Name: name, Level: level, Source: src, DIR: dp, Binding: b}, nil
+}
+
 // Predecoded returns the artifact's shared predecoded program at the given
-// encoding degree, encoding, decoding and translating it on first use.  The
-// returned program is immutable and shared: it may back any number of
-// concurrent simulation runs.
+// encoding degree, encoding and decoding it on first use; its translation,
+// compiled form and trace are the artifact's binding, shared with every other
+// degree.  The returned program is immutable and shared: it may back any
+// number of concurrent simulation runs.
 func (a *Artifact) Predecoded(degree Degree) (*sim.PredecodedProgram, error) {
-	a.preMu.Lock()
-	if a.pre == nil {
-		a.pre = make(map[Degree]*predecodeEntry)
+	if !degree.Valid() {
+		return nil, fmt.Errorf("core: %s: invalid degree %v", a.Name, degree)
 	}
-	e, ok := a.pre[degree]
-	if !ok {
-		e = &predecodeEntry{}
-		a.pre[degree] = e
-	}
-	a.preMu.Unlock()
+	e := &a.pre[degree]
 	e.once.Do(func() {
-		e.pp, e.err = sim.Predecode(a.DIR, degree)
-		if e.err == nil && a.tr != nil {
-			e.pp.AdoptTrace(a.tr)
+		bin, err := a.Encode(degree)
+		if err == nil {
+			e.pp, err = a.Binding.PredecodeBinary(bin)
 		}
+		e.err = err
 		e.done.Store(true)
 	})
 	return e.pp, e.err
@@ -124,11 +126,9 @@ func (a *Artifact) Predecoded(degree Degree) (*sim.PredecodedProgram, error) {
 // far, without building any.  The service layer uses it to drop pooled
 // replayers when the artifact is evicted from the registry.
 func (a *Artifact) CachedPredecoded() []*sim.PredecodedProgram {
-	a.preMu.Lock()
-	defer a.preMu.Unlock()
 	var pps []*sim.PredecodedProgram
-	for _, e := range a.pre {
-		if e.done.Load() && e.err == nil {
+	for i := range a.pre {
+		if e := &a.pre[i]; e.done.Load() && e.err == nil {
 			pps = append(pps, e.pp)
 		}
 	}
@@ -136,24 +136,28 @@ func (a *Artifact) CachedPredecoded() []*sim.PredecodedProgram {
 }
 
 // FootprintBytes estimates the resident size of the artifact and every cached
-// form hanging off it: the DIR program plus each predecoded (and possibly
-// compiled) degree built so far.  The estimate grows as forms materialise;
-// the service registry re-reads it after each request to keep its
-// byte-accounted LRU honest.
+// form hanging off it: the DIR program, the source text, the binding (counted
+// once, however many degrees share it) and each degree predecoded so far.
+// The estimate grows as forms materialise; the service registry re-reads it
+// after each request to keep its byte-accounted LRU honest.
 func (a *Artifact) FootprintBytes() int {
 	// The in-memory DIR program: instructions dominate (op, operands,
 	// contour, target — a few machine words each), plus the proc and contour
 	// tables.
 	const instrBytes, tableBytes = 96, 64
 	bytes := len(a.DIR.Instrs)*instrBytes +
-		(len(a.DIR.Procs)+len(a.DIR.Contours))*tableBytes
-	for _, pp := range a.CachedPredecoded() {
-		bytes += pp.FootprintBytes()
+		(len(a.DIR.Procs)+len(a.DIR.Contours))*tableBytes +
+		len(a.Source) + a.Binding.FootprintBytes()
+	for i := range a.pre {
+		if e := &a.pre[i]; e.done.Load() && e.err == nil {
+			bytes += e.pp.FootprintBytes()
+		}
 	}
 	return bytes
 }
 
-// BuildSource parses, analyses and compiles MiniLang source text.
+// BuildSource parses, analyses, compiles and binds MiniLang source text.  The
+// parsed HLR is not kept: Reference parses the source again when it needs it.
 func BuildSource(name, src string, level Level) (*Artifact, error) {
 	prog, err := hlr.Parse(src)
 	if err != nil {
@@ -163,7 +167,7 @@ func BuildSource(name, src string, level Level) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: compile %s: %w", name, err)
 	}
-	return &Artifact{Name: name, Level: level, HLR: prog, DIR: dp}, nil
+	return newArtifact(name, level, src, dp, nil)
 }
 
 // BuildWorkload builds one of the built-in workload programs.
@@ -175,10 +179,14 @@ func BuildWorkload(name string, level Level) (*Artifact, error) {
 	return BuildSource(name, src, level)
 }
 
-// Reference evaluates the artifact's HLR with the tree-walking oracle and
-// returns the expected output.
+// Reference parses the artifact's source, evaluates it with the tree-walking
+// oracle and returns the expected output.
 func (a *Artifact) Reference() ([]int64, error) {
-	res, err := hlr.Evaluate(a.HLR, hlr.EvalOptions{})
+	prog, err := hlr.Parse(a.Source)
+	if err != nil {
+		return nil, fmt.Errorf("core: parse %s: %w", a.Name, err)
+	}
+	res, err := hlr.Evaluate(prog, hlr.EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -194,11 +202,11 @@ func (a *Artifact) Encode(degree Degree) (*dir.Binary, error) {
 func (a *Artifact) Disassemble() string { return a.DIR.Disassemble() }
 
 // Snapshot is the portable form of an Artifact: everything the binary
-// interchange container persists.  The DIR program is authoritative and the
-// trace is the one piece of binding work a loading process cannot redo
-// without executing the program; every encoded degree and the compiled form
-// are rebuilt from the DIR program on demand, exactly as a fresh artifact
-// builds them.
+// interchange container persists besides the source.  The DIR program is
+// authoritative and the trace is the one piece of binding work a loading
+// process cannot redo without executing the program; the translation, every
+// encoded degree and the compiled form are rebuilt from the DIR program,
+// exactly as a fresh artifact builds them.
 type Snapshot struct {
 	Name  string
 	Level Level
@@ -208,25 +216,11 @@ type Snapshot struct {
 }
 
 // Snapshot captures the artifact's persistable state: the DIR program plus
-// the trace if one has been recorded or adopted.  It never triggers a
-// recording and is safe to call concurrently with requests running on the
+// its binding's trace if one has been recorded or seeded.  It never triggers
+// a recording and is safe to call concurrently with requests running on the
 // artifact.
 func (a *Artifact) Snapshot() *Snapshot {
-	return &Snapshot{Name: a.Name, Level: a.Level, DIR: a.DIR, Trace: a.cachedTrace()}
-}
-
-// cachedTrace returns the rehydrated trace or the first one a predecoded
-// form has recorded, and nil when there is none.
-func (a *Artifact) cachedTrace() *trace.Trace {
-	if a.tr != nil {
-		return a.tr
-	}
-	for _, pp := range a.CachedPredecoded() {
-		if t := pp.CachedTrace(); t != nil {
-			return t
-		}
-	}
-	return nil
+	return &Snapshot{Name: a.Name, Level: a.Level, DIR: a.DIR, Trace: a.Binding.CachedTrace()}
 }
 
 // PersistableForms counts the forms a Snapshot taken now would carry: the
@@ -234,19 +228,19 @@ func (a *Artifact) cachedTrace() *trace.Trace {
 // compares it against what it last persisted to decide whether an artifact's
 // container is worth rewriting, without building the snapshot.
 func (a *Artifact) PersistableForms() int {
-	if a.cachedTrace() != nil {
+	if a.Binding.CachedTrace() != nil {
 		return 2
 	}
 	return 1
 }
 
-// Rehydrate rebuilds an Artifact from a persisted snapshot without re-running
-// the compiler: the HLR is re-parsed from the source text (the oracle and the
-// conformance paths need it), the DIR program is adopted as-is after
-// validation, and the trace is seeded so every predecoded degree adopts it
-// instead of re-executing the program.  A snapshot whose trace references
-// instructions outside the program is rejected — a malformed container must
-// never become a partial artifact.
+// Rehydrate rebuilds an Artifact from a persisted snapshot and its source
+// text without re-running the parser or the compiler: the DIR program is
+// adopted as-is after validation and bound with the snapshot's trace, so
+// every predecoded degree derives from it instead of re-executing the
+// program.  A snapshot whose trace references instructions outside the
+// program is rejected before binding — a malformed container must never
+// become a partial artifact.
 func Rehydrate(snap *Snapshot, src string) (*Artifact, error) {
 	if snap == nil || snap.DIR == nil {
 		return nil, fmt.Errorf("core: rehydrate: snapshot has no DIR program")
@@ -254,20 +248,14 @@ func Rehydrate(snap *Snapshot, src string) (*Artifact, error) {
 	if err := snap.DIR.Validate(); err != nil {
 		return nil, fmt.Errorf("core: rehydrate %s: %w", snap.Name, err)
 	}
-	prog, err := hlr.Parse(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: rehydrate %s: parse: %w", snap.Name, err)
-	}
-	a := &Artifact{Name: snap.Name, Level: snap.Level, HLR: prog, DIR: snap.DIR}
 	if snap.Trace != nil {
 		for _, pc := range snap.Trace.PCs {
 			if pc < 0 || int(pc) >= len(snap.DIR.Instrs) {
 				return nil, fmt.Errorf("core: rehydrate %s: trace pc %d out of range", snap.Name, pc)
 			}
 		}
-		a.tr = snap.Trace
 	}
-	return a, nil
+	return newArtifact(snap.Name, snap.Level, src, snap.DIR, snap.Trace)
 }
 
 // RunMode selects how a simulation's cost report is produced: derived from

@@ -9,7 +9,6 @@ import (
 
 	"uhm/internal/dtb"
 	"uhm/internal/sim"
-	"uhm/internal/translate"
 )
 
 // Engine runs the experiment grids of experiments.go over a bounded worker
@@ -313,16 +312,10 @@ func (e Engine) Compaction(ctx context.Context, workloads []string, level Level)
 		row := CompactionRow{
 			Workload:   art.Name,
 			Level:      level,
+			Expanded:   art.Binding.ExpandedWords() * 32,
 			Bits:       make(map[Degree]int),
 			Reduction:  make(map[Degree]float64),
 			Interprets: make(map[Degree]int),
-		}
-		seqs, err := translate.TranslateProgram(art.DIR)
-		if err != nil {
-			return err
-		}
-		for _, s := range seqs {
-			row.Expanded += s.Words() * 32
 		}
 		for _, degree := range Degrees() {
 			bin, err := art.Encode(degree)

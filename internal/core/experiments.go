@@ -13,7 +13,6 @@ import (
 	"uhm/internal/metrics"
 	"uhm/internal/perfmodel"
 	"uhm/internal/psder"
-	"uhm/internal/translate"
 )
 
 // This file contains one entry point per table and figure of the paper's
@@ -205,21 +204,18 @@ func (e Engine) Figure3(ctx context.Context, workloadName string, cfg Config) (*
 	// instructions and IU1's routine calls over the executed prefix of each
 	// sequence, then run the simulator for the memory-system numbers.
 	machine := host.New(dp, host.Options{})
-	seqs, err := translate.TranslateProgram(dp)
-	if err != nil {
-		return nil, err
-	}
 	shortOps := make(map[psder.ShortOp]int64)
 	routines := make(map[psder.RoutineID]int64)
 	pc := dp.Procs[0].Entry
 	var instructions int64
 	for {
-		res, err := machine.ExecSequence(seqs[pc])
+		seq := art.Binding.Sequence(pc)
+		res, err := machine.ExecSequence(seq)
 		if err != nil {
 			return nil, err
 		}
 		instructions++
-		for _, in := range seqs[pc][:res.ShortInstrs] {
+		for _, in := range seq[:res.ShortInstrs] {
 			shortOps[in.Op]++
 			if in.Op == psder.OpCall {
 				routines[in.Routine()]++

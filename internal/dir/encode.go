@@ -28,7 +28,9 @@ const (
 	// decode tree for each possible predecessor field".
 	DegreePair
 
-	degreeCount
+	// NumDegrees counts the degrees; a valid Degree indexes an array of
+	// this length.
+	NumDegrees
 )
 
 // Degrees lists all encoding degrees in increasing order of encoding effort.
@@ -53,7 +55,7 @@ func (d Degree) String() string {
 }
 
 // Valid reports whether the degree is defined.
-func (d Degree) Valid() bool { return d >= 0 && d < degreeCount }
+func (d Degree) Valid() bool { return d >= 0 && d < NumDegrees }
 
 // field classes used by the codebooks.
 type fieldClass int

@@ -194,7 +194,8 @@ func ChaosSweep(ctx context.Context, start int64, n int, opts ChaosOptions,
 	if err != nil {
 		return nil, err
 	}
-	// A budget of two-thirds of the steady-state footprint keeps the LRU
+	// A budget of two-thirds of the steady-state footprint — which counts
+	// each program's source, as the registry always has — keeps the LRU
 	// under genuine pressure: the working set never fully fits, so evictions
 	// and rebuild-after-evict run constantly even before injected ones.
 	var total int64

@@ -69,13 +69,10 @@ type RegistryStats struct {
 // (the singleflight barrier); art/err must only be read after that.
 type regEntry struct {
 	key      Key
-	name     string
-	src      string // source text, kept for disk-tier write-through
-	srcBytes int64
 	art      *core.Artifact
 	err      error
 	ready    chan struct{}
-	bytes    int64 // last accounted footprint, including srcBytes
+	bytes    int64 // last accounted footprint
 	lastUse  int64 // recency stamp from Registry.clock
 	building bool
 	// persisted is the PersistableForms count of the last container written
@@ -154,8 +151,7 @@ func (r *Registry) Source(name, src string, level core.Level) (*core.Artifact, e
 		}
 		return e.art, nil
 	}
-	e := &regEntry{key: key, name: name, src: src, srcBytes: int64(len(src)),
-		ready: make(chan struct{}), building: true, lastUse: r.tick()}
+	e := &regEntry{key: key, ready: make(chan struct{}), building: true, lastUse: r.tick()}
 	r.entries[key] = e
 	r.stats.Misses++
 	r.mu.Unlock()
@@ -197,7 +193,7 @@ func (r *Registry) Source(name, src string, level core.Level) (*core.Artifact, e
 		}
 	} else {
 		r.byArt[art] = e
-		e.bytes = int64(art.FootprintBytes()) + e.srcBytes
+		e.bytes = int64(art.FootprintBytes())
 		r.bytes += e.bytes
 		evicted = r.evictLocked(e)
 	}
@@ -261,10 +257,10 @@ func (r *Registry) maybePersist(e *regEntry) {
 		return
 	}
 	e.persisting = true
-	art, src := e.art, e.src
+	art := e.art
 	r.mu.Unlock()
 
-	err := r.disk.Put(art.Snapshot(), src)
+	err := r.disk.Put(art.Snapshot(), art.Source)
 
 	r.mu.Lock()
 	e.persisting = false
@@ -319,10 +315,8 @@ func (r *Registry) Warmstart(max int) (int, error) {
 		}
 		ready := make(chan struct{})
 		close(ready)
-		e := &regEntry{key: key, name: img.Name(), src: img.Source,
-			srcBytes: int64(len(img.Source)), art: art, ready: ready,
-			lastUse: 0, persisted: art.PersistableForms()}
-		e.bytes = int64(art.FootprintBytes()) + e.srcBytes
+		e := &regEntry{key: key, art: art, ready: ready, persisted: art.PersistableForms(),
+			bytes: int64(art.FootprintBytes())}
 		r.mu.Lock()
 		if _, ok := r.entries[key]; ok {
 			r.mu.Unlock()
@@ -385,7 +379,7 @@ func (r *Registry) Sync(art *core.Artifact) {
 		r.mu.Unlock()
 		return
 	}
-	nb := int64(art.FootprintBytes()) + e.srcBytes
+	nb := int64(art.FootprintBytes())
 	r.bytes += nb - e.bytes
 	e.bytes = nb
 	e.lastUse = r.tick()
@@ -414,7 +408,7 @@ func (r *Registry) SyncAll() {
 		if e.building || e.err != nil {
 			continue
 		}
-		nb := int64(e.art.FootprintBytes()) + e.srcBytes
+		nb := int64(e.art.FootprintBytes())
 		r.bytes += nb - e.bytes
 		e.bytes = nb
 	}

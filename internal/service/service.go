@@ -331,8 +331,8 @@ func (r *Runner) Compare(ctx context.Context, req *Request) ([]*sim.Report, erro
 
 // runPooled is the request hot path: predecode (cached on the artifact),
 // check out a warmed replayer, derive the report from the artifact's shared
-// execution trace (recorded once per predecoded program, counted in its
-// footprint, falling back to a full replay when the trace cannot answer
+// execution trace (recorded once by its binding for every degree, counted in
+// its footprint, falling back to a full replay when the trace cannot answer
 // exactly), clone the report, check the replayer back in, and refresh the
 // registry's byte accounting — which now includes the cached trace, so it is
 // evicted with its artifact.  A warm replayer answers from the report it

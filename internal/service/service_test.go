@@ -695,9 +695,9 @@ func TestRegistryAccountsTraceFootprint(t *testing.T) {
 }
 
 // TestTraceDiesWithEvictedArtifact closes the ownership chain for the trace:
-// when the registry evicts an artifact, the trace cached on its predecoded
-// program goes with it — the registry's accounted bytes drop by the full
-// footprint including the trace, and nothing retains the predecoded program.
+// when the registry evicts an artifact, the trace cached on its binding goes
+// with it — the registry's accounted bytes drop by the full footprint
+// including the trace, and nothing retains the predecoded program.
 func TestTraceDiesWithEvictedArtifact(t *testing.T) {
 	svc := New(Options{CapacityBytes: 1})
 	ctx := context.Background()

@@ -8,6 +8,7 @@ import (
 	"uhm/internal/compile"
 	"uhm/internal/dir"
 	"uhm/internal/faultinject"
+	"uhm/internal/memory"
 	"uhm/internal/workload"
 )
 
@@ -241,32 +242,30 @@ func TestRunDerivedMatchesRunPredecoded(t *testing.T) {
 	}
 }
 
-// TestTraceFootprintAccounting checks the satellite's size-accounting claim:
-// once the trace is recorded, FootprintBytes grows by exactly the trace's
-// SizeBytes — so the service registry's eviction budget sees the cached trace.
+// TestTraceFootprintAccounting checks the size-accounting claim: as the
+// compiled form and then the trace are built, the binding's FootprintBytes
+// grows by exactly their sizes — so the service registry's eviction budget
+// sees the cached trace — while the degree's own footprint does not move.
 func TestTraceFootprintAccounting(t *testing.T) {
 	p := workload.MustCompileAt("loopsum", compile.LevelStack)
 	pp, err := Predecode(p, dir.DegreeHuffman)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := pp.FootprintBytes()
-	tr, err := pp.Trace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The canonical execution prefers the compiled backend, which is built
-	// (and charged) as a side effect; measure against the footprint after
-	// compilation so the delta isolates the trace itself.
+	own, before := pp.FootprintBytes(), pp.Binding.FootprintBytes()
 	comp, err := pp.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	afterCompile := before
-	if comp != nil {
-		afterCompile = pp.FootprintBytes() - tr.SizeBytes()
+	afterCompile := pp.Binding.FootprintBytes()
+	if got, want := afterCompile-before, comp.FootprintWords()*memory.WordBytes; got != want {
+		t.Errorf("footprint grew by %d bytes after compiling, want %d", got, want)
 	}
-	got := pp.FootprintBytes() - afterCompile
+	tr, err := pp.Trace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := pp.Binding.FootprintBytes() - afterCompile
 	if got != tr.SizeBytes() {
 		t.Errorf("footprint grew by %d bytes after tracing, want trace SizeBytes %d", got, tr.SizeBytes())
 	}
@@ -279,9 +278,12 @@ func TestTraceFootprintAccounting(t *testing.T) {
 	if _, err := pp.Trace(); err != nil {
 		t.Fatal(err)
 	}
-	if pp.FootprintBytes() != afterCompile+tr.SizeBytes() {
+	if pp.Binding.FootprintBytes() != afterCompile+tr.SizeBytes() {
 		t.Errorf("second Trace() changed the footprint: %d != %d",
-			pp.FootprintBytes(), afterCompile+tr.SizeBytes())
+			pp.Binding.FootprintBytes(), afterCompile+tr.SizeBytes())
+	}
+	if pp.FootprintBytes() != own {
+		t.Errorf("the degree's own footprint moved from %d to %d bytes", own, pp.FootprintBytes())
 	}
 }
 

@@ -1,10 +1,11 @@
-// The predecoded-program fast path: a DIR binary decoded and translated once,
-// shared immutably by every strategy and goroutine that runs it.  The
-// interpretive overhead the DIR/DTB design exists to eliminate — repeated
-// field extraction, code-tree walks and translation — is paid a single time
-// here; the simulator then charges the recorded per-pc costs on every
-// execution, so reports are identical to decoding afresh each time, while the
-// host pays only a slice index per dispatched instruction.
+// The predecoded-program fast path: a DIR program translated once (its
+// Binding) and each of its binaries decoded once (one PredecodedProgram per
+// degree of encoding), all shared immutably by every strategy and goroutine
+// that runs them.  The interpretive overhead the DIR/DTB design exists to
+// eliminate — repeated field extraction, code-tree walks and translation — is
+// paid a single time here; the simulator then charges the recorded per-pc
+// costs on every execution, so reports are identical to decoding afresh each
+// time, while the host pays only a slice index per dispatched instruction.
 package sim
 
 import (
@@ -20,42 +21,153 @@ import (
 	"uhm/internal/translate"
 )
 
-// PredecodedProgram is a DIR program encoded at one degree, decoded and
-// translated exactly once.  It is immutable after construction: the same
-// instance can back any number of concurrent Run calls under any strategy.
-// The closure-compiled form used by the Compiled strategy is built lazily on
-// first use and then shared the same way.
-type PredecodedProgram struct {
+// Binding is the degree-independent dynamic representation of one DIR
+// program: the PSDER translation of every instruction, made by Bind, and the
+// closure-compiled form and the execution trace, each built once on first
+// use.  Every degree the program is predecoded at shares it, so translation,
+// compilation and recording happen once per program however many encodings
+// run it.  Safe for concurrent use.
+type Binding struct {
 	// Program is the in-memory DIR program.
 	Program *dir.Program
-	// Binary is the encoded static representation the costs were measured on.
-	Binary *dir.Binary
 
 	seqs          []psder.Sequence // PSDER translation of each instruction
-	costs         []dir.DecodeCost // decode cost of each instruction
 	expandedWords int              // total PSDER words of the full expansion
-	baseBytes     int              // resident bytes of the eagerly built forms
-
-	// Static fetch geometry of each instruction in the encoded binary: the
-	// first level-2 word its bit range touches and how many words it spans.
-	// Cost derivations stream these instead of re-walking the bit ranges.
-	fetchFirst []int32
-	fetchWords []int32
 
 	compileOnce   sync.Once
 	compiled      *dir.CompiledProgram
 	compileErr    error
 	compiledWords atomic.Int64 // footprint of the lazily built compiled form
 
-	traceOnce  sync.Once
-	trace      *trace.Trace
-	traceErr   error
-	traceDone  atomic.Bool  // set (release) once a trace is recorded or adopted
-	traceBytes atomic.Int64 // footprint of the lazily recorded trace
+	traceOnce sync.Once
+	traceErr  error
+	recorded  atomic.Pointer[trace.Trace] // set once recorded, or at Bind
 }
 
-// Predecode encodes the program at the given degree and predecodes the
-// result.
+// Bind translates every instruction of the program to PSDER and validates
+// the result.  A non-nil tr seeds the binding's trace — a persisted
+// artifact's canonical execution reloaded from the store — so the program
+// derives reports without ever re-executing; it must have been recorded on
+// this same program, which the store's verify-by-hash load guarantees.
+func Bind(p *dir.Program, tr *trace.Trace) (*Binding, error) {
+	seqs, err := translate.TranslateProgram(p)
+	if err != nil {
+		return nil, fmt.Errorf("sim: bind %w", err)
+	}
+	b := &Binding{Program: p, seqs: seqs}
+	for _, seq := range seqs {
+		b.expandedWords += seq.Words()
+	}
+	b.recorded.Store(tr)
+	return b, nil
+}
+
+// FootprintBytes estimates the resident size of the binding: the PSDER
+// sequences and — once built — the closure-compiled program and the recorded
+// execution trace.  The service registry charges this against its byte budget
+// when deciding what to evict, so a cached trace lives and dies with its
+// artifact.  Safe for concurrent use with Compiled and Trace.
+func (b *Binding) FootprintBytes() int {
+	bytes := (b.expandedWords + int(b.compiledWords.Load())) * memory.WordBytes
+	if tr := b.recorded.Load(); tr != nil {
+		bytes += tr.SizeBytes()
+	}
+	return bytes
+}
+
+// NumInstrs returns the number of DIR instructions.
+func (b *Binding) NumInstrs() int { return len(b.seqs) }
+
+// Sequence returns the PSDER translation of the instruction at pc.  The
+// returned sequence is shared: callers must not modify it.
+func (b *Binding) Sequence(pc int) psder.Sequence { return b.seqs[pc] }
+
+// ExpandedWords returns the total size in words of the fully expanded PSDER
+// program (the §3.1 "expanded machine language" baseline).
+func (b *Binding) ExpandedWords() int { return b.expandedWords }
+
+// Compiled returns the shared closure-compiled form of the program,
+// compiling it on first use.  Like the translation, the compiled program is
+// immutable and may back any number of concurrent runs; each run supplies its
+// own dir.MachineState.
+func (b *Binding) Compiled() (*dir.CompiledProgram, error) {
+	b.compileOnce.Do(func() {
+		b.compiled, b.compileErr = dir.Compile(b.Program)
+		if b.compileErr == nil {
+			b.compiledWords.Store(int64(b.compiled.FootprintWords()))
+		}
+	})
+	return b.compiled, b.compileErr
+}
+
+// Trace returns the shared execution trace of the program, recording it on
+// first use unless Bind seeded it — the "trace once" half of the
+// trace-once/cost-many split.  The recording runs at the default simulation
+// bounds, so any configuration whose bounds the trace satisfies can derive
+// from it; Replayer.Derive rechecks the recorded length and peak depth
+// against its own configuration and declines otherwise.  Like the compiled
+// form, the trace is immutable, shared by any number of concurrent
+// derivations at any degree, and counted in FootprintBytes.
+func (b *Binding) Trace() (*trace.Trace, error) {
+	if tr := b.recorded.Load(); tr != nil {
+		return tr, nil
+	}
+	b.traceOnce.Do(func() {
+		// An injected recording failure is cached like a real one — the
+		// program declines every future derivation at every degree (an
+		// ErrNoTrace storm) and ReplayDerived serves it by full replay for
+		// its lifetime.
+		if b.traceErr = faultinject.Fire(faultinject.SiteTraceRecord); b.traceErr != nil {
+			return
+		}
+		var tr *trace.Trace
+		if tr, b.traceErr = b.RecordTrace(); b.traceErr == nil {
+			b.recorded.Store(tr)
+		}
+	})
+	return b.recorded.Load(), b.traceErr
+}
+
+// CachedTrace returns the shared trace if one has already been recorded or
+// was seeded, without triggering a recording; it returns nil otherwise.
+// Artifact snapshotting uses it so persistence never forces an execution.
+func (b *Binding) CachedTrace() *trace.Trace { return b.recorded.Load() }
+
+// RecordTrace records a fresh execution trace on the closure-compiled form
+// without touching the cache; a program that does not compile has no trace,
+// and RecordTrace returns the compile error.  Most callers want the cached
+// Trace; this entry point exists for benchmarks, tests and audits that
+// measure or re-check the recording itself.
+func (b *Binding) RecordTrace() (*trace.Trace, error) {
+	comp, err := b.Compiled()
+	if err != nil {
+		return nil, err
+	}
+	def := DefaultConfig()
+	return trace.Record(b.Program, comp, b.seqs, def.MaxInstructions, def.MaxDepth)
+}
+
+// PredecodedProgram is a DIR program encoded at one degree and decoded exactly
+// once.  It holds only what the degree changes — the binary, its decode costs
+// and its fetch geometry — and shares its Binding with every other degree.
+// It is immutable: the same instance can back any number of concurrent Run
+// calls under any strategy.
+type PredecodedProgram struct {
+	*Binding
+	// Binary is the encoded static representation the costs were measured on.
+	Binary *dir.Binary
+
+	costs []dir.DecodeCost // decode cost of each instruction
+
+	// Static fetch geometry of each instruction in the encoded binary: the
+	// first level-2 word its bit range touches and how many words it spans.
+	// Cost derivations stream these instead of re-walking the bit ranges.
+	fetchFirst []int32
+	fetchWords []int32
+}
+
+// Predecode binds the program, encodes it at the given degree and predecodes
+// the result.
 func Predecode(p *dir.Program, degree dir.Degree) (*PredecodedProgram, error) {
 	bin, err := dir.Encode(p, degree)
 	if err != nil {
@@ -64,32 +176,35 @@ func Predecode(p *dir.Program, degree dir.Degree) (*PredecodedProgram, error) {
 	return PredecodeBinary(bin)
 }
 
-// PredecodeBinary decodes every instruction of the binary once and generates
-// and validates its PSDER translation.
+// PredecodeBinary binds the binary's program afresh and predecodes the
+// binary on that binding.
 func PredecodeBinary(bin *dir.Binary) (*PredecodedProgram, error) {
+	b, err := Bind(bin.Program, nil)
+	if err != nil {
+		return nil, err
+	}
+	return b.PredecodeBinary(bin)
+}
+
+// PredecodeBinary decodes every instruction of bin, an encoding of the
+// binding's program, once, recording its decode cost and fetch geometry; the
+// translation is the binding's, made from the compiled instructions.
+func (b *Binding) PredecodeBinary(bin *dir.Binary) (*PredecodedProgram, error) {
+	if bin.Program != b.Program {
+		return nil, fmt.Errorf("sim: predecode: the binary encodes a different program than the binding")
+	}
 	pd, err := bin.Predecode()
 	if err != nil {
 		return nil, err
 	}
 	pp := &PredecodedProgram{
-		Program:    bin.Program,
+		Binding:    b,
 		Binary:     bin,
-		seqs:       make([]psder.Sequence, len(pd.Instrs)),
 		costs:      pd.Costs,
 		fetchFirst: make([]int32, len(pd.Instrs)),
 		fetchWords: make([]int32, len(pd.Instrs)),
 	}
 	for pc, in := range pd.Instrs {
-		seq, err := translate.Translate(in, pc)
-		if err == nil {
-			err = seq.Validate()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sim: predecode instruction %d (%s): %w", pc, in, err)
-		}
-		pp.seqs[pc] = seq
-		pp.expandedWords += seq.Words()
-
 		// Record the instruction's static fetch geometry (mirroring the
 		// fetch loop's zero-length rule for degenerate encodings).
 		offset, length, err := bin.InstrBitRange(pc)
@@ -104,119 +219,20 @@ func PredecodeBinary(bin *dir.Binary) (*PredecodedProgram, error) {
 		pp.fetchFirst[pc] = int32(firstWord)
 		pp.fetchWords[pc] = int32(lastWord - firstWord + 1)
 	}
-	// The byte accounting the service registry evicts on: the encoded static
-	// representation, the per-pc PSDER sequences, the recorded decode costs
-	// (two machine ints per pc) and the fetch-geometry tables (two int32 per
-	// pc).
-	pp.baseBytes = bin.SizeBytes() + pp.expandedWords*memory.WordBytes + len(pd.Costs)*16 + len(pd.Instrs)*8
 	return pp, nil
 }
 
-// FootprintBytes estimates the resident size of the predecoded forms: the
-// encoded binary, the PSDER sequences, the decode costs, the fetch geometry,
-// and — once built — the closure-compiled program and the recorded
-// execution trace.  The service registry charges this against its byte budget
-// when deciding what to evict, so a cached trace lives and dies with its
-// artifact.  Safe for concurrent use with Compiled and Trace.
+// FootprintBytes estimates the resident size of what this degree adds to its
+// shared binding: the encoded binary, the recorded decode costs (two machine
+// ints per pc) and the fetch-geometry tables (two int32 per pc).
 func (pp *PredecodedProgram) FootprintBytes() int {
-	return pp.baseBytes + int(pp.compiledWords.Load())*memory.WordBytes + int(pp.traceBytes.Load())
+	return pp.Binary.SizeBytes() + len(pp.costs)*(16+8)
 }
 
 // Degree returns the encoding degree of the predecoded binary.
 func (pp *PredecodedProgram) Degree() dir.Degree { return pp.Binary.Degree }
 
-// NumInstrs returns the number of DIR instructions.
-func (pp *PredecodedProgram) NumInstrs() int { return len(pp.seqs) }
-
-// Sequence returns the PSDER translation of the instruction at pc.  The
-// returned sequence is shared: callers must not modify it.
-func (pp *PredecodedProgram) Sequence(pc int) psder.Sequence { return pp.seqs[pc] }
-
 // DecodeCost returns the measured cost of decoding the instruction at pc from
 // the binary, as an interpreter without this fast path would pay it on every
 // execution.
 func (pp *PredecodedProgram) DecodeCost(pc int) dir.DecodeCost { return pp.costs[pc] }
-
-// ExpandedWords returns the total size in words of the fully expanded PSDER
-// program (the §3.1 "expanded machine language" baseline).
-func (pp *PredecodedProgram) ExpandedWords() int { return pp.expandedWords }
-
-// Compiled returns the shared closure-compiled form of the program,
-// compiling it on first use.  Like the predecoded structures, the compiled
-// program is immutable and may back any number of concurrent runs; each run
-// supplies its own dir.MachineState.
-func (pp *PredecodedProgram) Compiled() (*dir.CompiledProgram, error) {
-	pp.compileOnce.Do(func() {
-		pp.compiled, pp.compileErr = dir.Compile(pp.Program)
-		if pp.compileErr == nil {
-			pp.compiledWords.Store(int64(pp.compiled.FootprintWords()))
-		}
-	})
-	return pp.compiled, pp.compileErr
-}
-
-// Trace returns the shared execution trace of the program, recording it on
-// first use — the "trace once" half of the trace-once/cost-many split.  The
-// recording runs at the default simulation bounds, so any configuration whose
-// bounds the trace satisfies can derive from it; Replayer.Derive rechecks the
-// recorded length and peak depth against its own configuration and declines
-// otherwise.  Like the compiled form, the trace is immutable, shared by any
-// number of concurrent derivations, and counted in FootprintBytes.
-func (pp *PredecodedProgram) Trace() (*trace.Trace, error) {
-	pp.traceOnce.Do(func() {
-		// An injected recording failure is cached like a real one — the
-		// program declines every future derivation (an ErrNoTrace storm) and
-		// ReplayDerived serves it by full replay for its lifetime.
-		if ferr := faultinject.Fire(faultinject.SiteTraceRecord); ferr != nil {
-			pp.traceErr = ferr
-			return
-		}
-		pp.trace, pp.traceErr = pp.RecordTrace()
-		if pp.traceErr == nil {
-			pp.traceBytes.Store(int64(pp.trace.SizeBytes()))
-			pp.traceDone.Store(true)
-		}
-	})
-	return pp.trace, pp.traceErr
-}
-
-// AdoptTrace installs a previously recorded trace — a persisted artifact's
-// canonical execution reloaded from the store — as this program's shared
-// trace, so a warm-started artifact derives reports without ever re-executing
-// the program.  The adoption loses the race against any recording already in
-// flight (the sync.Once arbitrates); the trace must have been recorded on
-// this same program, which the store's verify-by-hash load guarantees.
-func (pp *PredecodedProgram) AdoptTrace(t *trace.Trace) {
-	if t == nil {
-		return
-	}
-	pp.traceOnce.Do(func() {
-		pp.trace = t
-		pp.traceBytes.Store(int64(t.SizeBytes()))
-		pp.traceDone.Store(true)
-	})
-}
-
-// CachedTrace returns the shared trace if one has already been recorded or
-// adopted, without triggering a recording; it returns nil otherwise.
-// Artifact snapshotting uses it so persistence never forces an execution.
-func (pp *PredecodedProgram) CachedTrace() *trace.Trace {
-	if pp.traceDone.Load() {
-		return pp.trace
-	}
-	return nil
-}
-
-// RecordTrace records a fresh execution trace on the closure-compiled form
-// without touching the cache; a program that does not compile has no trace,
-// and RecordTrace returns the compile error.  Most callers want the cached
-// Trace; this entry point exists for benchmarks, tests and audits that
-// measure or re-check the recording itself.
-func (pp *PredecodedProgram) RecordTrace() (*trace.Trace, error) {
-	comp, err := pp.Compiled()
-	if err != nil {
-		return nil, err
-	}
-	def := DefaultConfig()
-	return trace.Record(pp.Program, comp, pp.seqs, def.MaxInstructions, def.MaxDepth)
-}

@@ -104,3 +104,20 @@ func TestRunPredecodedDegreeMismatch(t *testing.T) {
 		t.Fatalf("degree mismatch not rejected: %v", err)
 	}
 }
+
+// TestBindingRejectsBinaryOfOtherProgram pins that a binding predecodes only
+// encodings of its own program: a binary of another program would pair one
+// program's decode costs with the other's translation.
+func TestBindingRejectsBinaryOfOtherProgram(t *testing.T) {
+	b, err := Bind(workload.MustCompileAt("fib", compile.LevelStack), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := dir.Encode(workload.MustCompileAt("sieve", compile.LevelStack), dir.DegreePacked)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.PredecodeBinary(other); err == nil {
+		t.Fatal("predecoding another program's binary succeeded")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uhm/internal/core"
+	"uhm/internal/faultinject"
 	"uhm/internal/sim"
 )
 
@@ -16,7 +17,10 @@ import (
 // degree: byte-identical output and a field-for-field identical cost report
 // (sim.DiffReports).  The rehydrated run derives from the persisted trace
 // while the fresh run records its own, so this also pins that a loaded trace
-// answers exactly like a recorded one.
+// answers exactly like a recorded one.  The rehydrated runs execute with
+// every trace recording failing, so each report must come from the persisted
+// trace: a degree that recorded its own would fall back to full replay and
+// report Derived false.
 func TestRehydratedRunsMatchFresh(t *testing.T) {
 	key := sha256.Sum256([]byte(testSrc))
 	for _, level := range core.Levels() {
@@ -48,9 +52,15 @@ func TestRehydratedRunsMatchFresh(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%v/%v fresh: %v", degree, strategy, err)
 					}
+					restore := faultinject.Activate(faultinject.NewPlan(1,
+						faultinject.Rule{Site: faultinject.SiteTraceRecord, Probability: 1}))
 					got, err := core.Run(loaded, strategy, cfg)
+					restore()
 					if err != nil {
 						t.Fatalf("%v/%v rehydrated: %v", degree, strategy, err)
+					}
+					if !got.Derived {
+						t.Fatalf("%v/%v: rehydrated report was not derived from the persisted trace", degree, strategy)
 					}
 					if !slices.Equal(got.Output, want.Output) {
 						t.Fatalf("%v/%v: output %v, want %v", degree, strategy, got.Output, want.Output)
