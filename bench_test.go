@@ -802,8 +802,8 @@ func TestStartAllocs(t *testing.T) {
 		pinned float64
 		start  func()
 	}{
-		{"cold", 1320, func() { coldStart(t) }},
-		{"warm", 842, func() { warmStart(t, dir) }},
+		{"cold", 1311, func() { coldStart(t) }},
+		{"warm", 833, func() { warmStart(t, dir) }},
 	} {
 		allocs := testing.AllocsPerRun(20, tc.start)
 		t.Logf("%s start: %.1f allocs/op (pinned %.0f)", tc.name, allocs, tc.pinned)

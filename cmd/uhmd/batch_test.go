@@ -164,9 +164,9 @@ func (w nullResponseWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w nullResponseWriter) WriteHeader(int)             {}
 
 // warmRunAllocs measures the allocations of one warm /v1/run through the
-// handler (decode, validate, pooled service run, pooled response encode)
-// once the artifact is built, its trace recorded, its replayer pooled with a
-// held report, and the encoder pool filled, and fails if they exceed pinned.
+// handler (decode, validate, service run, pooled response encode) once the
+// artifact is built, its trace recorded, its replayer parked with a held
+// report, and the encoder pool filled, and fails if they exceed pinned.
 // The race detector's sync.Pool drops pooled objects at random, so under it
 // the path runs but the count is only logged.
 func warmRunAllocs(t *testing.T, body []byte, pinned float64) {
@@ -193,7 +193,7 @@ func warmRunAllocs(t *testing.T, body []byte, pinned float64) {
 // single-run handler path for a built-in workload, so that any allocation a
 // change adds to the handler envelope or the service hot path fails here.
 func TestWarmRunHandlerAllocs(t *testing.T) {
-	warmRunAllocs(t, []byte(`{"workload":"fib","strategy":"dtb"}`), 34)
+	warmRunAllocs(t, []byte(`{"workload":"fib","strategy":"dtb"}`), 32)
 }
 
 // TestWarmGeneratedRunHandlerAllocs pins the same path for the request a
@@ -212,7 +212,7 @@ func TestWarmGeneratedRunHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmRunAllocs(t, body, 39)
+	warmRunAllocs(t, body, 37)
 }
 
 // TestBatchAmortisesAllocs: per-run allocations through /batch/run at batch

@@ -15,7 +15,7 @@ import (
 )
 
 // benchServer builds a warm in-process server: the fib artifact is built,
-// its replayer pooled, and the response-buffer pool filled, so the
+// its replayer parked, and the response-buffer pool filled, so the
 // benchmarks below measure the steady-state handler path.
 func benchServer(b *testing.B) *server {
 	b.Helper()
@@ -29,7 +29,8 @@ func benchServer(b *testing.B) *server {
 }
 
 // BenchmarkHTTPServeRun is the warm single-request HTTP baseline: one
-// decode, one admission, one pooled run, one pooled response encode per op.
+// decode, one admission, one run on a parked replayer, one pooled response
+// encode per op.
 func BenchmarkHTTPServeRun(b *testing.B) {
 	s := benchServer(b)
 	body := []byte(`{"workload":"fib","strategy":"dtb"}`)
@@ -69,7 +70,7 @@ func BenchmarkHTTPServeBatch(b *testing.B) {
 // BenchmarkRouterBatch is the fleet's batch path end to end: a closed loop of
 // /batch/run envelopes of 8 generated programs (about 28 KB) through an
 // in-process router to two uhmd backends, every program already built and
-// its replayers pooled.  ns/op and allocs/op are per batch, router, backends
+// its replayers parked.  ns/op and allocs/op are per batch, router, backends
 // and client together.
 func BenchmarkRouterBatch(b *testing.B) {
 	// Every backend request is access-logged; keep the output parseable.

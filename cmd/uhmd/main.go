@@ -2,10 +2,11 @@
 // argument applied to a server.  Where cmd/uhmrun buffers binding work —
 // parse, compile, encode, predecode, closure-compile — for the lifetime of
 // one process run and then throws it away, uhmd keeps every built artifact
-// in a content-addressed registry and every warmed simulator in a replayer
-// pool, shared by all concurrent requests.  A repeated request does zero
-// rebuild work and replays on a simulator whose hierarchy, DTB, cache and
-// machine already exist (the 0 allocs/op replay loop).
+// in a content-addressed registry, shared by all concurrent requests, and
+// parks each warmed simulator on the predecoded program it replays, under
+// the registry's byte budget.  A repeated request does zero rebuild work and
+// answers from a simulator whose hierarchy, DTB, cache and machine already
+// exist and which holds the report it derived.
 //
 // Endpoints (JSON over HTTP):
 //
@@ -44,7 +45,8 @@
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: listeners close, in-
 // flight requests run to completion (bounded by -drain), new work is
-// refused.
+// refused.  A client that stalls is cut off: its headers must arrive within
+// ten seconds, and so must each read of its body.
 package main
 
 import (
@@ -74,7 +76,6 @@ type options struct {
 	addr           string
 	workers        int
 	cacheBytes     int64
-	poolIdle       int
 	drain          time.Duration
 	queueTimeout   time.Duration
 	requestTimeout time.Duration
@@ -99,7 +100,6 @@ func registerFlags(fs *flag.FlagSet, opts *options) {
 	fs.StringVar(&opts.addr, "addr", "localhost:8080", "listen address")
 	fs.IntVar(&opts.workers, "workers", 0, "bound on concurrently served requests (0 = one per CPU)")
 	fs.Int64Var(&opts.cacheBytes, "cache-bytes", 256<<20, "artifact-registry byte budget (0 = unbounded)")
-	fs.IntVar(&opts.poolIdle, "pool-idle", 0, "idle replayers kept per (program, strategy, config) class (0 = one per CPU)")
 	fs.DurationVar(&opts.drain, "drain", 30*time.Second, "graceful-shutdown drain budget for in-flight requests")
 	fs.DurationVar(&opts.queueTimeout, "queue-timeout", 10*time.Second, "bound on waiting for a worker slot before answering 503 (0 = wait forever)")
 	fs.DurationVar(&opts.requestTimeout, "request-timeout", 0, "per-request deadline (0 = none)")
@@ -180,7 +180,6 @@ func run(opts options) error {
 
 	svc := service.New(service.Options{
 		CapacityBytes: opts.cacheBytes,
-		MaxIdlePerKey: opts.poolIdle,
 		Workers:       opts.workers,
 		QueueTimeout:  opts.queueTimeout,
 		Store:         tier,
@@ -226,9 +225,9 @@ func run(opts options) error {
 
 	srv := &http.Server{
 		Addr:              opts.addr,
-		Handler:           rootHandler,
+		Handler:           stallGuard(rootHandler, readStall),
 		BaseContext:       func(net.Listener) context.Context { return baseCtx },
-		ReadHeaderTimeout: 10 * time.Second,
+		ReadHeaderTimeout: readStall,
 	}
 
 	errCh := make(chan error, 1)

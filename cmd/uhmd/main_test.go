@@ -61,8 +61,8 @@ func getStats(t *testing.T, baseURL string) service.Stats {
 
 // TestRunCacheHitVsMiss is the acceptance pin at the HTTP layer: the first
 // request builds, the warmed repeat request does zero artifact rebuild work
-// (Builds constant, registry hit) and replays on the pooled simulator (pool
-// hit), with byte-identical output and cost.
+// (Builds constant, registry hit) and replays on the simulator parked on its
+// program (pool hit), with byte-identical output and cost.
 func TestRunCacheHitVsMiss(t *testing.T) {
 	ts, _ := newTestServer(t, service.Options{})
 	body := `{"workload":"sieve","strategy":"dtb"}`
@@ -79,8 +79,8 @@ func TestRunCacheHitVsMiss(t *testing.T) {
 	if st.Registry.Builds != 1 || st.Registry.Misses != 1 {
 		t.Fatalf("cold stats = %+v, want 1 build / 1 miss", st.Registry)
 	}
-	if st.Pool.Misses != 1 || st.Pool.Idle != 1 {
-		t.Fatalf("cold pool = %+v, want 1 miss and the replayer parked idle", st.Pool)
+	if st.Pool.Misses != 1 || st.Pool.Leased != 0 || st.Pool.Discards != 0 {
+		t.Fatalf("cold pool = %+v, want 1 miss and the replayer parked, not leased or dropped", st.Pool)
 	}
 
 	status, data = postJSON(t, ts.URL+"/v1/run", body)
@@ -99,7 +99,7 @@ func TestRunCacheHitVsMiss(t *testing.T) {
 		t.Fatalf("warm request missed the registry: %+v", st.Registry)
 	}
 	if st.Pool.Hits != 1 {
-		t.Fatalf("warm request did not reuse the pooled replayer: %+v", st.Pool)
+		t.Fatalf("warm request did not reuse the parked replayer: %+v", st.Pool)
 	}
 	if !slices.Equal(first.Report.Output, second.Report.Output) ||
 		first.Report.TotalCycles != second.Report.TotalCycles {

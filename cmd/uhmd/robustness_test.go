@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,6 +14,7 @@ import (
 	"time"
 
 	"uhm/internal/faultinject"
+	"uhm/internal/router"
 	"uhm/internal/service"
 	"uhm/internal/wire"
 )
@@ -230,5 +234,114 @@ func TestRequestTimeoutCancelsWork(t *testing.T) {
 	var e wire.ErrorResponse
 	if err := json.Unmarshal(data, &e); err != nil || e.RequestID == "" {
 		t.Fatalf("timed-out request body lacks a request_id: %s", data)
+	}
+}
+
+// newGuardedFleet serves one uhmd and a router in front of it, each behind
+// the body stall guard run installs, with the stall bound shortened to stall.
+// It returns the uhmd's and the router's base URLs.
+func newGuardedFleet(t *testing.T, stall time.Duration) (backendURL, routerURL string) {
+	t.Helper()
+	backend := newTestServerFromHandler(t, stallGuard(newServer(service.New(service.Options{})), stall))
+	rt := router.New(router.Options{Backends: []string{backend.URL}, Logf: t.Logf})
+	rt.Start()
+	t.Cleanup(rt.Close)
+	front := newTestServerFromHandler(t, stallGuard(rt, stall))
+	return backend.URL, front.URL
+}
+
+// TestStalledBodyIsRefused: a client that sends its headers and the start of
+// its body and then stalls is answered once the stall bound passes, on one
+// uhmd and through the router, instead of holding its connection and
+// goroutine until it hangs up.  A handler that reads the body refuses it
+// (400); one that never reads it answers, and net/http's drain of the unread
+// body is bounded too.
+func TestStalledBodyIsRefused(t *testing.T) {
+	const stall = 100 * time.Millisecond
+	backendURL, routerURL := newGuardedFleet(t, stall)
+	for _, tc := range []struct {
+		name, url, request string
+		want               int
+	}{
+		{"uhmd/run", backendURL, "POST /v1/run", http.StatusBadRequest},
+		{"uhmd/unread", backendURL, "GET /v1/workloads", http.StatusOK},
+		{"router/run", routerURL, "POST /v1/run", http.StatusBadRequest},
+		{"router/unread", routerURL, "GET /v1/workloads", http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", strings.TrimPrefix(tc.url, "http://"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			start := time.Now()
+			if _, err := io.WriteString(conn, tc.request+" HTTP/1.1\r\nHost: uhmd\r\n"+
+				"Content-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"workload\":"); err != nil {
+				t.Fatal(err)
+			}
+			// The client now stalls; the server must answer without it.
+			if err := conn.SetReadDeadline(start.Add(20 * stall)); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatalf("no answer to a stalled body within %s: %v", 20*stall, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Fatalf("stalled body answered %d, want %d", resp.StatusCode, tc.want)
+			}
+			t.Logf("stalled body answered %d after %s (bound %s)", resp.StatusCode, time.Since(start), stall)
+		})
+	}
+}
+
+// TestSlowHandlerOutlivesStallBound: the stall bound covers reading the body,
+// not serving it.  A complete body whose handler runs past the bound — an
+// injected delay wedges the first strategy of a comparison, whose next
+// strategy checks the request context — still answers 200, on one uhmd and
+// through the router.  A deadline left armed after the body's EOF would fire
+// in net/http's background read of the connection and cancel that context.
+func TestSlowHandlerOutlivesStallBound(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	backendURL, routerURL := newGuardedFleet(t, stall)
+	for _, tc := range []struct{ name, url string }{{"uhmd", backendURL}, {"router", routerURL}} {
+		t.Run(tc.name, func(t *testing.T) {
+			activateFaults(t, 1, "service/run:p=1,count=1,mode=delay,delay=300ms")
+			status, data := postJSON(t, tc.url+"/v1/compare", `{"workload":"fib"}`)
+			if status != http.StatusOK {
+				t.Fatalf("a handler slower than the stall bound answered %d, want 200: %s", status, data)
+			}
+		})
+	}
+}
+
+// TestReadPastEOFLeavesDeadlineClear: once a body hits EOF, net/http reads
+// the connection in the background, so a later Read, as a decoder checking
+// for trailing data may make, must not arm the deadline again: it would
+// fire in that background read and cancel the context of a handler that
+// then outlives the stall bound.
+func TestReadPastEOFLeavesDeadlineClear(t *testing.T) {
+	const stall = 50 * time.Millisecond
+	ts := newTestServerFromHandler(t, stallGuard(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, err := io.ReadAll(r.Body); err != nil {
+			t.Error(err)
+		}
+		if n, err := r.Body.Read(make([]byte, 1)); n != 0 || err != io.EOF {
+			t.Errorf("read past EOF = %d, %v; want 0, EOF", n, err)
+		}
+		select {
+		case <-r.Context().Done():
+			w.WriteHeader(http.StatusServiceUnavailable)
+		case <-time.After(6 * stall):
+		}
+	}), stall))
+	resp, err := http.Post(ts.URL, "application/json", strings.NewReader(`{"workload":"fib"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("answered %d: the handler's context was cancelled while it worked", resp.StatusCode)
 	}
 }

@@ -161,6 +161,53 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	wire.WriteError(w, status, err, requestIDFrom(r.Context()))
 }
 
+// readStall bounds how long a client may stall: sending its headers, and
+// between reads of its body.
+const readStall = 10 * time.Second
+
+// stallGuard wraps h, the single server or the router, so that every read of
+// a request body has a deadline stall away, armed before h runs and
+// refreshed by each read: a client that sends its headers and then stalls is
+// refused, and net/http's drain of a body h left unread is bounded too,
+// while a long body that keeps arriving is not cut off.
+func stallGuard(h http.Handler, stall time.Duration) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.ContentLength != 0 {
+			b := &stallBody{ReadCloser: r.Body, rc: http.NewResponseController(w), stall: stall}
+			_ = b.rc.SetReadDeadline(time.Now().Add(stall))
+			r.Body = b
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// stallBody is a request body whose reads each refresh the read deadline.
+// Hitting EOF clears it for good: net/http then reads the connection in the
+// background, and a deadline firing there would cancel the context of a
+// handler still at work.  A failed read leaves it set: net/http drains the
+// unread rest before it writes the answer, and must not wait there on a
+// stalled client.  SetReadDeadline fails only on a writer without
+// deadlines, such as a test recorder, whose body then reads without one.
+type stallBody struct {
+	io.ReadCloser
+	rc    *http.ResponseController
+	stall time.Duration
+	done  bool
+}
+
+func (b *stallBody) Read(p []byte) (int, error) {
+	if b.done {
+		return b.ReadCloser.Read(p)
+	}
+	_ = b.rc.SetReadDeadline(time.Now().Add(b.stall))
+	n, err := b.ReadCloser.Read(p)
+	b.done = err != nil
+	if err == io.EOF {
+		_ = b.rc.SetReadDeadline(time.Time{})
+	}
+	return n, err
+}
+
 // decodeBody parses the JSON request body strictly: unknown fields are
 // rejected so a misspelled parameter fails loudly instead of silently
 // selecting a default.

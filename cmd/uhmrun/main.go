@@ -69,7 +69,7 @@ func run(workloadName, file, archetype string, genSeed int64, levelName, degreeN
 		return err
 	}
 	// One-shot CLI runs go through the same service layer cmd/uhmd serves
-	// over HTTP — content-addressed artifact registry, pooled replayers — so
+	// over HTTP — content-addressed artifact registry, parked replayers — so
 	// the two paths cannot drift.
 	svc := service.New(service.Options{})
 	ctx := context.Background()

@@ -359,9 +359,8 @@ func RenderModelValidation(v *ModelValidation) string {
 	return b.String()
 }
 
-// ModelValidationJSON renders the study as the committed machine-readable
-// artifact (MODEL_ERROR_PR<N>.json): a labelled, indented, stable-key
-// document.
+// ModelValidationJSON renders the study as a machine-readable document
+// (uhmbench -exp modelerr -json FILE): labelled, indented, with stable keys.
 func ModelValidationJSON(v *ModelValidation, label string) ([]byte, error) {
 	doc := struct {
 		Label string `json:"label"`

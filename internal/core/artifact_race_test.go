@@ -80,11 +80,17 @@ func TestArtifactPredecodedConcurrentStress(t *testing.T) {
 		}
 	}
 
-	// The footprint/invalidation view agrees: exactly one cached program per
-	// degree, and re-requesting returns the cached instances.
-	if got := len(art.CachedPredecoded()); got != len(degrees) {
-		t.Fatalf("CachedPredecoded returned %d programs, want %d", got, len(degrees))
+	// The footprint view agrees: it charges each degree's program once over
+	// a twin artifact with the same binding work done and no degree built,
+	// and re-requesting returns the cached instances.
+	twin, err := BuildWorkload("sieve", LevelStack)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if _, err := twin.Binding.Trace(); err != nil {
+		t.Fatal(err)
+	}
+	want := twin.FootprintBytes()
 	for di, degree := range degrees {
 		pp, err := art.Predecoded(degree)
 		if err != nil {
@@ -93,5 +99,9 @@ func TestArtifactPredecodedConcurrentStress(t *testing.T) {
 		if pp != results[di][0] {
 			t.Fatalf("degree %v: re-request built a new instance", degree)
 		}
+		want += pp.FootprintBytes()
+	}
+	if got := art.FootprintBytes(); got != want {
+		t.Fatalf("footprint %d B, want %d B: one program per degree over the bare artifact", got, want)
 	}
 }

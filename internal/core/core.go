@@ -80,15 +80,14 @@ type Artifact struct {
 }
 
 // predecodeEntry dedups predecoding per degree while letting different
-// degrees of the same artifact predecode concurrently.  done is set (with
-// release semantics) after the build completes, so observers that did not go
-// through once.Do — footprint accounting, cache invalidation — can read pp
-// without racing the builder or triggering a build themselves.
+// degrees of the same artifact predecode concurrently.  built is published
+// (with release semantics) once a build succeeds, so footprint accounting,
+// which does not go through once.Do, can read it without racing the builder
+// or triggering a build itself.
 type predecodeEntry struct {
-	once sync.Once
-	pp   *sim.PredecodedProgram
-	err  error
-	done atomic.Bool
+	once  sync.Once
+	built atomic.Pointer[sim.PredecodedProgram]
+	err   error
 }
 
 // newArtifact binds the compiled DIR program — seeding the binding with tr,
@@ -113,31 +112,20 @@ func (a *Artifact) Predecoded(degree Degree) (*sim.PredecodedProgram, error) {
 	e := &a.pre[degree]
 	e.once.Do(func() {
 		bin, err := a.Encode(degree)
+		var pp *sim.PredecodedProgram
 		if err == nil {
-			e.pp, err = a.Binding.PredecodeBinary(bin)
+			pp, err = a.Binding.PredecodeBinary(bin)
 		}
+		e.built.Store(pp)
 		e.err = err
-		e.done.Store(true)
 	})
-	return e.pp, e.err
-}
-
-// CachedPredecoded returns the predecoded programs the artifact has built so
-// far, without building any.  The service layer uses it to drop pooled
-// replayers when the artifact is evicted from the registry.
-func (a *Artifact) CachedPredecoded() []*sim.PredecodedProgram {
-	var pps []*sim.PredecodedProgram
-	for i := range a.pre {
-		if e := &a.pre[i]; e.done.Load() && e.err == nil {
-			pps = append(pps, e.pp)
-		}
-	}
-	return pps
+	return e.built.Load(), e.err
 }
 
 // FootprintBytes estimates the resident size of the artifact and every cached
 // form hanging off it: the DIR program, the source text, the binding (counted
-// once, however many degrees share it) and each degree predecoded so far.
+// once, however many degrees share it) and each degree predecoded so far,
+// with the replayers parked on it.
 // The estimate grows as forms materialise; the service registry re-reads it
 // after each request to keep its byte-accounted LRU honest.
 func (a *Artifact) FootprintBytes() int {
@@ -149,8 +137,8 @@ func (a *Artifact) FootprintBytes() int {
 		(len(a.DIR.Procs)+len(a.DIR.Contours))*tableBytes +
 		len(a.Source) + a.Binding.FootprintBytes()
 	for i := range a.pre {
-		if e := &a.pre[i]; e.done.Load() && e.err == nil {
-			bytes += e.pp.FootprintBytes()
+		if pp := a.pre[i].built.Load(); pp != nil {
+			bytes += pp.FootprintBytes()
 		}
 	}
 	return bytes

@@ -23,19 +23,15 @@ const (
 	// failed build is not cached.
 	SiteRegistryBuild Site = "registry/build"
 	// SiteRegistryEvict force-evicts the least-recently-used artifact during
-	// a footprint sync, exercising eviction and pool invalidation without
-	// requiring byte-budget pressure.
+	// a footprint sync, exercising eviction — and with it the retirement of
+	// the replayers parked on the artifact — without byte-budget pressure.
 	SiteRegistryEvict Site = "registry/evict"
 	// SitePoolAcquire fails a replayer checkout, as a construction error
 	// would.
 	SitePoolAcquire Site = "pool/acquire"
 	// SitePoolCheckin forces a returning replayer to be discarded instead of
-	// repooled, exercising the discard accounting.
+	// parked on its program, exercising the discard accounting.
 	SitePoolCheckin Site = "pool/checkin"
-	// SitePoolInvalidate spuriously invalidates a program's pooled replayers
-	// at check-in time, exercising the dead-marking that normally only
-	// registry evictions drive.
-	SitePoolInvalidate Site = "pool/invalidate"
 	// SiteTraceRecord fails the one-shot canonical trace recording; the
 	// failure is cached with the program (an ErrNoTrace storm), so every
 	// derivation on it declines and falls back to full replay.
@@ -83,7 +79,7 @@ const (
 func Sites() []Site {
 	return []Site{
 		SiteRegistryBuild, SiteRegistryEvict,
-		SitePoolAcquire, SitePoolCheckin, SitePoolInvalidate,
+		SitePoolAcquire, SitePoolCheckin,
 		SiteTraceRecord, SiteDerive,
 		SiteServiceRun, SiteAdmission, SiteDecode,
 		// The disk-tier sites are appended, not interleaved, so plans drawn

@@ -4,7 +4,7 @@
 // service stack keeps its invariants under injected failure: each seeded
 // fault plan (faultinject.RandomPlan) is activated against a fresh Service
 // and a concurrent mixed workload, and afterwards the books must balance
-// exactly — no leaked or double-returned pool replayers, byte-exact registry
+// exactly — no leaked or double-returned replayers, byte-exact registry
 // accounting, every response correct-or-structured-error, failed builds
 // retryable, and the drain always terminating.  A violated invariant is
 // reported with its reproducer seed, like a generator divergence.
@@ -29,7 +29,7 @@ import (
 // chaosSources are the sweep's mixed workload: small, quick programs (a
 // chaos plan runs hundreds of requests over them under the race detector),
 // different enough in shape — loop, recursion, array — to exercise distinct
-// artifact footprints and pool keys.
+// artifact footprints and replayer classes.
 var chaosSources = []struct{ name, src string }{
 	{"chaos-loop", `
 program chaosloop;
@@ -165,7 +165,7 @@ func (v ChaosViolation) String() string {
 // The chaos invariant names.
 const (
 	ChaosCorrectness = "correct-or-structured-error" // wrong output, or an unclassified error
-	ChaosLeak        = "replayer-leak"               // leases outstanding after drain, or pool books unbalanced
+	ChaosLeak        = "replayer-leak"               // leases outstanding after drain
 	ChaosAccounting  = "footprint-accounting"        // registry byte books unbalanced or over budget
 	ChaosRetry       = "retry-after-failure"         // a program still failing after faults stopped
 	ChaosDrain       = "drain-termination"           // clients did not all return within the watchdog
@@ -251,7 +251,6 @@ func runChaosPlan(ctx context.Context, seed int64, progs []chaosProgram,
 	svc := New(Options{
 		CapacityBytes: capacity,
 		Workers:       max(2, opts.Clients-1), // fewer slots than clients: admission queues
-		MaxIdlePerKey: 2,
 		QueueTimeout:  opts.QueueTimeout,
 		Store:         tier,
 	})
@@ -272,7 +271,7 @@ func runChaosPlan(ctx context.Context, seed int64, progs []chaosProgram,
 				p := progs[rng.Intn(len(progs))]
 				cfg := core.DefaultConfig()
 				if rng.Intn(4) == 0 {
-					cfg.MaxInstructions = 1_000_000 // a second pool fingerprint
+					cfg.MaxInstructions = 1_000_000 // a second replayer class
 				}
 				func() {
 					defer func() {
@@ -319,9 +318,6 @@ func runChaosPlan(ctx context.Context, seed int64, progs []chaosProgram,
 	st := svc.Stats()
 	if st.Pool.Leased != 0 {
 		violate(ChaosLeak, "%d replayers still leased after drain", st.Pool.Leased)
-	}
-	if err := svc.Pool().VerifyAccounting(); err != nil {
-		violate(ChaosLeak, "%v", err)
 	}
 	if err := svc.Registry().VerifyAccounting(); err != nil {
 		violate(ChaosAccounting, "%v", err)

@@ -8,8 +8,8 @@ import (
 )
 
 // TestChaosSmoke is the acceptance gate for the resilience layer: 200 seeded
-// fault plans — build failures, checkout failures, forced evictions, spurious
-// invalidations, ErrNoTrace storms, injected overloads and run panics — each
+// fault plans — build failures, checkout and check-in failures, forced
+// evictions, ErrNoTrace storms, injected overloads and run panics — each
 // against a fresh service under a concurrent mixed workload, with zero
 // invariant violations allowed.  Any failure prints the reproducer seed;
 // rerun it alone with uhmbench -chaos 1 -seed N.
@@ -37,9 +37,8 @@ func TestChaosSmoke(t *testing.T) {
 	for _, site := range []faultinject.Site{
 		faultinject.SiteRegistryBuild, faultinject.SiteRegistryEvict,
 		faultinject.SitePoolAcquire, faultinject.SitePoolCheckin,
-		faultinject.SitePoolInvalidate, faultinject.SiteTraceRecord,
-		faultinject.SiteDerive, faultinject.SiteServiceRun,
-		faultinject.SiteAdmission,
+		faultinject.SiteTraceRecord, faultinject.SiteDerive,
+		faultinject.SiteServiceRun, faultinject.SiteAdmission,
 	} {
 		if res.Fired[site] == 0 {
 			t.Errorf("site %s never fired across %d plans", site, res.Plans)

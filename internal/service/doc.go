@@ -15,10 +15,13 @@
 //     recorded traces write containers through to disk, memory misses read
 //     through with verify-by-hash (corrupt containers degrade to clean
 //     rebuilds), and Warmstart preloads the hottest containers at startup.
-//   - Pool: warmed sim.Replayers keyed by (predecoded program, strategy,
-//     config fingerprint).  A checked-out replayer has its memory hierarchy,
-//     DTB/cache, host machine and report already built, so steady-state
-//     request handling inherits the 0 allocs/op replay loop.
+//   - Pool: checks warmed sim.Replayers out of the predecoded program they
+//     are parked on, one class per (strategy, normalized config), and parks
+//     them there again.  The program charges them in its footprint, so the
+//     registry's budget governs them and evicting the artifact retires
+//     them.  A checked-out replayer has its memory hierarchy, DTB/cache,
+//     host machine and report already built, so steady-state request
+//     handling inherits the 0 allocs/op replay loop.
 //   - Service: the façade tying the two together with request-level
 //     parallelism bounded like core.Engine, plus a registry-backed
 //     core.Engine so the named experiments share the same artifact cache.
@@ -26,7 +29,7 @@
 // Every run and compare takes one path.  A Request names the program (a
 // built-in workload or submitted source), its level and its config;
 // Resolve finds or builds its artifact; a Runner runs or compares it on
-// pooled replayers.  Runners exist only inside Admit, which holds one
+// warmed replayers.  Runners exist only inside Admit, which holds one
 // request slot for however many requests its callback serves — a uhmd
 // batch is one Admit, a single request a batch of one — and Run and
 // Compare wrap Admit for one-shot callers.
@@ -39,8 +42,8 @@
 // singleflight waiter without being cached, and a declined trace
 // derivation falls back to an identical full replay (counted, never an
 // error).  ChaosSweep replays seeded internal/faultinject plans against
-// concurrent workloads and asserts the robustness invariants; Registry and
-// Pool expose VerifyAccounting for byte- and lease-exactness checks.
+// concurrent workloads and asserts the robustness invariants: no lease
+// outstanding after the drain, and Registry.VerifyAccounting byte-exact.
 //
 // cmd/uhmd serves this layer over HTTP; cmd/uhmrun and cmd/uhmbench run the
 // identical code path in-process, so the CLI and the server cannot drift.

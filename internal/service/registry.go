@@ -86,10 +86,6 @@ type regEntry struct {
 // for concurrent use.
 type Registry struct {
 	capacity int64
-	// onEvict, if set, is called (outside the registry lock) with each
-	// artifact dropped by the LRU; the service layer uses it to invalidate
-	// pooled replayers built on the artifact's predecoded programs.
-	onEvict func(*core.Artifact)
 	// disk, if set, is the second tier: misses read through it before
 	// building, successful builds write through to it, and a recorded trace
 	// re-persists on Sync.  Disk failures never surface to requests — a bad
@@ -119,10 +115,6 @@ func NewRegistry(capacityBytes int64) *Registry {
 		quarantined: make(map[Key]bool),
 	}
 }
-
-// SetOnEvict installs the eviction callback.  It must be set before the
-// registry is shared between goroutines.
-func (r *Registry) SetOnEvict(fn func(*core.Artifact)) { r.onEvict = fn }
 
 // SetStore attaches the disk tier.  It must be set before the registry is
 // shared between goroutines.
@@ -171,7 +163,6 @@ func (r *Registry) Source(name, src string, level core.Level) (*core.Artifact, e
 		// recorded.
 		e.persisted = art.PersistableForms()
 	}
-	var evicted []*core.Artifact
 	if err != nil {
 		// Failed builds are reported to every waiter but not cached: the
 		// failure may be transient only in the sense that the caller fixes
@@ -195,11 +186,10 @@ func (r *Registry) Source(name, src string, level core.Level) (*core.Artifact, e
 		r.byArt[art] = e
 		e.bytes = int64(art.FootprintBytes())
 		r.bytes += e.bytes
-		evicted = r.evictLocked(e)
+		r.evictLocked(e)
 	}
 	r.mu.Unlock()
 	close(e.ready)
-	r.notifyEvicted(evicted)
 	if err != nil {
 		return nil, err
 	}
@@ -327,9 +317,8 @@ func (r *Registry) Warmstart(max int) (int, error) {
 		r.byArt[art] = e
 		r.bytes += e.bytes
 		r.stats.WarmLoads++
-		evicted := r.evictLocked(e)
+		r.evictLocked(e)
 		r.mu.Unlock()
-		r.notifyEvicted(evicted)
 		loaded++
 	}
 	return loaded, nil
@@ -369,8 +358,8 @@ func (r *Registry) Workload(name string, level core.Level) (*core.Artifact, erro
 // (evicted, or never registered) are ignored.
 func (r *Registry) Sync(art *core.Artifact) {
 	// The chaos evict site fires here, outside the lock: an injected fault
-	// force-evicts the LRU artifact even under budget, so eviction and pool
-	// invalidation are exercised without byte pressure.
+	// force-evicts the LRU artifact even under budget, so eviction is
+	// exercised without byte pressure.
 	forceEvict := faultinject.Fire(faultinject.SiteRegistryEvict) != nil
 
 	r.mu.Lock()
@@ -383,15 +372,13 @@ func (r *Registry) Sync(art *core.Artifact) {
 	r.bytes += nb - e.bytes
 	e.bytes = nb
 	e.lastUse = r.tick()
-	evicted := r.evictLocked(e)
+	r.evictLocked(e)
 	if forceEvict {
 		if victim := r.victimLocked(nil); victim != nil {
 			r.dropLocked(victim)
-			evicted = append(evicted, victim.art)
 		}
 	}
 	r.mu.Unlock()
-	r.notifyEvicted(evicted)
 	// Trace write-through: a freshly recorded trace is the one form built
 	// after the DIR that is worth carrying across a restart.
 	r.maybePersist(e)
@@ -412,16 +399,11 @@ func (r *Registry) SyncAll() {
 		r.bytes += nb - e.bytes
 		e.bytes = nb
 	}
-	evicted := r.evictLocked(nil)
+	r.evictLocked(nil)
 	r.mu.Unlock()
-	r.notifyEvicted(evicted)
 }
 
 // Live reports whether the artifact is currently resident in the registry.
-// The service uses it at replayer check-in: a replayer warmed on an evicted
-// artifact's program must be discarded, not repooled, or it would sit under
-// a retired key (evicted artifacts rebuild to a fresh instance) holding the
-// whole structure chain alive for the process lifetime.
 func (r *Registry) Live(art *core.Artifact) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -453,22 +435,15 @@ func (r *Registry) tick() int64 {
 // evictLocked drops least-recently-used completed entries until the budget
 // is met, never dropping in-flight builds or the entry just touched (keep).
 // A single over-budget artifact is retained rather than thrashing: the cache
-// must always be able to serve the request that filled it.  Callers invoke
-// notifyEvicted on the returned artifacts after releasing the lock.
-func (r *Registry) evictLocked(keep *regEntry) []*core.Artifact {
-	if r.capacity <= 0 {
-		return nil
-	}
-	var evicted []*core.Artifact
-	for r.bytes > r.capacity {
+// must always be able to serve the request that filled it.
+func (r *Registry) evictLocked(keep *regEntry) {
+	for r.capacity > 0 && r.bytes > r.capacity {
 		victim := r.victimLocked(keep)
 		if victim == nil {
-			break
+			return
 		}
 		r.dropLocked(victim)
-		evicted = append(evicted, victim.art)
 	}
-	return evicted
 }
 
 // victimLocked picks the least-recently-used completed entry, never keep or
@@ -486,8 +461,9 @@ func (r *Registry) victimLocked(keep *regEntry) *regEntry {
 	return victim
 }
 
-// dropLocked removes a completed entry and its byte accounting.  The caller
-// must invoke notifyEvicted on the entry's artifact after unlocking.
+// dropLocked removes a completed entry and its byte accounting.  Whatever
+// hangs off the artifact — its predecoded programs and the replayers parked
+// on them — is garbage once the requests still running on it finish.
 func (r *Registry) dropLocked(e *regEntry) {
 	delete(r.entries, e.key)
 	delete(r.byArt, e.art)
@@ -496,9 +472,8 @@ func (r *Registry) dropLocked(e *regEntry) {
 }
 
 // Quarantine marks a key as a poison pill — the registry will never rebuild
-// it — and evicts its resident artifact so pooled replayers warmed on it are
-// retired through the usual eviction callback.  It reports whether the key
-// was newly quarantined.
+// it — and evicts its resident artifact, retiring the replayers parked on
+// it.  It reports whether the key was newly quarantined.
 func (r *Registry) Quarantine(key Key) bool {
 	r.mu.Lock()
 	if r.quarantined[key] {
@@ -507,13 +482,10 @@ func (r *Registry) Quarantine(key Key) bool {
 	}
 	r.quarantined[key] = true
 	r.stats.Quarantines++
-	var evicted []*core.Artifact
 	if e, ok := r.entries[key]; ok && !e.building {
 		r.dropLocked(e)
-		evicted = append(evicted, e.art)
 	}
 	r.mu.Unlock()
-	r.notifyEvicted(evicted)
 	if r.disk != nil {
 		// The container must go too: a warm start that reloaded a poison pill
 		// would hand the next process a primed crash.
@@ -571,13 +543,4 @@ func (r *Registry) VerifyAccounting() error {
 		return fmt.Errorf("registry: negative byte account %d", r.bytes)
 	}
 	return nil
-}
-
-func (r *Registry) notifyEvicted(arts []*core.Artifact) {
-	if r.onEvict == nil {
-		return
-	}
-	for _, a := range arts {
-		r.onEvict(a)
-	}
 }

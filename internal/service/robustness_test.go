@@ -86,9 +86,6 @@ func TestRunPanicIsQuarantined(t *testing.T) {
 	if st.Pool.Leased != 0 {
 		t.Fatalf("lease leaked across the panic: %+v", st.Pool)
 	}
-	if err := svc.Pool().VerifyAccounting(); err != nil {
-		t.Fatal(err)
-	}
 
 	// Unrelated programs are untouched.
 	if _, err := svc.Run(context.Background(), workloadReq("fib", testConfig()), sim.WithDTB); err != nil {
@@ -99,7 +96,7 @@ func TestRunPanicIsQuarantined(t *testing.T) {
 // TestDeriveDeclineFallsBackToReplay: under a sustained derive-decline storm
 // every request falls back to a full replay — correct reports, never marked
 // derived — and each fallback is counted.  The storm declines a cold service
-// whose replayers have never derived, and a warm one whose pooled replayer
+// whose replayers have never derived, and a warm one whose parked replayer
 // holds a derived report, since the fault site fires before the held report
 // is consulted.  Once the storm lifts, requests are derived again.
 func TestDeriveDeclineFallsBackToReplay(t *testing.T) {

@@ -17,23 +17,20 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// CapacityBytes is the registry's byte budget (0 = unbounded).
+	// CapacityBytes is the registry's byte budget (0 = unbounded).  It
+	// covers each artifact's derived forms and the replayers parked on them.
 	CapacityBytes int64
-	// MaxIdlePerKey bounds the warmed replayers kept per (program, strategy,
-	// config) class; zero selects runtime.GOMAXPROCS(0).
-	MaxIdlePerKey int
 	// Workers bounds concurrent requests, like core.Engine bounds grid
 	// cells; zero selects runtime.GOMAXPROCS(0).
 	Workers int
 	// QueueTimeout bounds how long admission may queue for a request slot
 	// when all are occupied; past it the request is shed with a typed
 	// *OverloadError instead of blocking unboundedly.  Zero waits as long as
-	// the request context allows (the pre-timeout behaviour).
+	// the request context allows.
 	QueueTimeout time.Duration
 	// Store, if set, attaches a content-addressed disk tier behind the
 	// registry's in-memory LRU: misses read through it, builds write through
-	// to it, and Warmstart preloads from it.  Nil runs memory-only (the
-	// pre-persistence behaviour).
+	// to it, and Warmstart preloads from it.  Nil runs memory-only.
 	Store *store.Store
 }
 
@@ -59,8 +56,8 @@ type RequestStats struct {
 
 // Service is the façade over the registry and the pool: one instance serves
 // any number of concurrent requests, building each distinct program once and
-// replaying it on warmed simulators.  cmd/uhmd exposes it over HTTP;
-// cmd/uhmrun and cmd/uhmbench drive it in-process.
+// replaying it on warmed simulators parked on the program.  cmd/uhmd exposes
+// it over HTTP; cmd/uhmrun and cmd/uhmbench drive it in-process.
 type Service struct {
 	registry     *Registry
 	pool         *Pool
@@ -79,9 +76,7 @@ type Service struct {
 	deriveFallbacks atomic.Int64
 }
 
-// New constructs a Service and wires the registry's eviction callback to the
-// pool, so evicting an artifact also retires the replayers warmed on its
-// predecoded programs.
+// New constructs a Service.
 func New(opts Options) *Service {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -89,20 +84,13 @@ func New(opts Options) *Service {
 	}
 	s := &Service{
 		registry:     NewRegistry(opts.CapacityBytes),
-		pool:         NewPool(opts.MaxIdlePerKey),
+		pool:         NewPool(workers),
 		workers:      workers,
 		slots:        make(chan struct{}, workers),
 		queueTimeout: opts.QueueTimeout,
 	}
 	s.runner.s = s
-	if opts.Store != nil {
-		s.registry.SetStore(opts.Store)
-	}
-	s.registry.SetOnEvict(func(a *core.Artifact) {
-		for _, pp := range a.CachedPredecoded() {
-			s.pool.Invalidate(pp)
-		}
-	})
+	s.registry.SetStore(opts.Store)
 	return s
 }
 
@@ -115,7 +103,7 @@ func (s *Service) Warmstart(max int) (int, error) {
 // Registry returns the artifact registry (shared, concurrency-safe).
 func (s *Service) Registry() *Registry { return s.registry }
 
-// Pool returns the replayer pool (shared, concurrency-safe).
+// Pool returns the replayer checkout (shared, concurrency-safe).
 func (s *Service) Pool() *Pool { return s.pool }
 
 // Workers returns the request-parallelism bound.
@@ -288,7 +276,7 @@ type Runner struct {
 }
 
 // Run resolves the request and simulates it under one organisation on a
-// pooled replayer.  The returned report is the caller's own copy.
+// warmed replayer.  The returned report is the caller's own copy.
 func (r *Runner) Run(ctx context.Context, req *Request, strategy sim.Strategy) (*sim.Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -300,7 +288,7 @@ func (r *Runner) Run(ctx context.Context, req *Request, strategy sim.Strategy) (
 	return r.s.runPooled(art, strategy, req.Config)
 }
 
-// Compare resolves the request, runs every organisation on pooled replayers
+// Compare resolves the request, runs every organisation on warmed replayers
 // and verifies the paper's equivalence invariant.  Reports come back in
 // core.Strategies() order; on divergence they are returned alongside the
 // error so the caller can render a diff.
@@ -330,14 +318,17 @@ func (r *Runner) Compare(ctx context.Context, req *Request) ([]*sim.Report, erro
 }
 
 // runPooled is the request hot path: predecode (cached on the artifact),
-// check out a warmed replayer, derive the report from the artifact's shared
-// execution trace (recorded once by its binding for every degree, counted in
-// its footprint, falling back to a full replay when the trace cannot answer
-// exactly), clone the report, check the replayer back in, and refresh the
-// registry's byte accounting — which now includes the cached trace, so it is
-// evicted with its artifact.  A warm replayer answers from the report it
-// holds, which is read-only, aliases the shared trace's output and stays the
-// replayer's until its next Replay: only the clone may leave the lease.
+// check out a replayer parked on the predecoded program (or build one),
+// derive the report from the artifact's shared execution trace (recorded
+// once by its binding for every degree, counted in its footprint, falling
+// back to a full replay when the trace cannot answer exactly), clone the
+// report, park the replayer again, and refresh the registry's byte
+// accounting — which includes the cached trace and the parked replayers, so
+// both are evicted with their artifact.  A warm replayer answers from the
+// report it holds, which is read-only, aliases the shared trace's output and
+// stays the replayer's until its next Replay: only the clone may leave the
+// lease.  A run on an artifact evicted meanwhile parks its replayer on a
+// program nothing else reaches, so both become garbage together.
 //
 // The whole path runs under panic isolation: a crash anywhere inside —
 // predecode, checkout, replay — is recovered into a typed *PanicError, the
@@ -363,7 +354,7 @@ func (s *Service) runPooled(art *core.Artifact, strategy sim.Strategy, cfg sim.C
 	if err != nil {
 		return nil, err
 	}
-	// Discard is idempotent with the checkin below: on the normal and error
+	// Discard is idempotent with the Release below: on the normal and error
 	// paths it is a no-op, and on a panic it is the backstop that keeps the
 	// lease accounting exact.
 	defer lease.Discard()
@@ -373,40 +364,18 @@ func (s *Service) runPooled(art *core.Artifact, strategy sim.Strategy, cfg sim.C
 	if err != nil {
 		// A failed replay leaves the replayer's structures in a defined but
 		// partially-run state; Replay resets everything up front, so reuse
-		// is still sound — check in normally.
-		s.checkin(art, lease)
+		// is still sound: park it, and charge what the request built.
+		lease.Release()
+		s.registry.Sync(art)
 		return nil, err
 	}
 	if !out.Derived {
 		s.deriveFallbacks.Add(1)
 	}
 	out = out.Clone()
-	s.checkin(art, lease)
+	lease.Release()
 	s.registry.Sync(art)
 	return out, nil
-}
-
-// checkin returns a lease, repooling only when the artifact is still
-// resident in the registry.  The liveness check closes the eviction race
-// Pool.Invalidate alone cannot see: a lease taken on a stale artifact after
-// its eviction (no outstanding lease existed at invalidation time, so no
-// dead mark) would otherwise repopulate an unreachable pool key.  An
-// eviction racing this check is still safe — the lease is outstanding until
-// checkin runs, so Invalidate marks the program dead and the check-in
-// discards.
-func (s *Service) checkin(art *core.Artifact, lease *Lease) {
-	// The spurious-invalidation chaos site: invalidating the program while
-	// its own lease is still outstanding exercises the dead-marking that
-	// normally only registry evictions drive — the checkin below must then
-	// discard, and the accounting must stay exact.
-	if faultinject.Fire(faultinject.SitePoolInvalidate) != nil {
-		s.pool.Invalidate(lease.key.pp)
-	}
-	if s.registry.Live(art) {
-		lease.Release()
-	} else {
-		lease.Discard()
-	}
 }
 
 // Conformance runs the full differential cross-product on one source

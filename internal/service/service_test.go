@@ -2,10 +2,12 @@ package service
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"uhm/internal/core"
 	"uhm/internal/sim"
@@ -125,8 +127,8 @@ func TestRegistryBuildErrorNotCached(t *testing.T) {
 }
 
 // TestRegistryEviction: a byte budget small enough for one artifact evicts
-// the least recently used entry when a second arrives, and the eviction
-// callback fires so pooled replayers can be retired.
+// the least recently used entry when a second arrives, and the evicted
+// artifact is no longer live.
 func TestRegistryEviction(t *testing.T) {
 	srcA, err := workload.Source("loopsum")
 	if err != nil {
@@ -137,8 +139,6 @@ func TestRegistryEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRegistry(1) // absurdly small: any completed entry is over budget
-	var evicted []*core.Artifact
-	r.SetOnEvict(func(a *core.Artifact) { evicted = append(evicted, a) })
 
 	a, err := r.Source("loopsum", srcA, core.LevelStack)
 	if err != nil {
@@ -149,15 +149,16 @@ func TestRegistryEviction(t *testing.T) {
 		t.Fatalf("stats after first build = %+v, want the entry retained", st)
 	}
 	// ... until a newer entry arrives, which evicts it.
-	if _, err := r.Source("fib", srcB, core.LevelStack); err != nil {
+	b, err := r.Source("fib", srcB, core.LevelStack)
+	if err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
 	if st.Evictions != 1 || st.Entries != 1 {
 		t.Fatalf("stats after second build = %+v, want 1 eviction, 1 entry", st)
 	}
-	if len(evicted) != 1 || evicted[0] != a {
-		t.Fatalf("eviction callback got %v, want the first artifact", evicted)
+	if r.Live(a) || !r.Live(b) {
+		t.Fatalf("Live(first) = %v, Live(second) = %v: want the first artifact evicted", r.Live(a), r.Live(b))
 	}
 	// The evicted artifact rebuilds on next request.
 	if _, err := r.Source("loopsum", srcA, core.LevelStack); err != nil {
@@ -228,8 +229,9 @@ func TestPoolReuse(t *testing.T) {
 	}
 }
 
-// TestPoolConfigFingerprint: equivalent configs (defaults resolved) share a
-// class; different configs do not.
+// TestPoolConfigFingerprint: configurations that normalize alike (a zero
+// MaxDepth selects the default) are one class and share a parked replayer;
+// different configurations are different classes.
 func TestPoolConfigFingerprint(t *testing.T) {
 	cfg := testConfig()
 	a, err := core.BuildWorkload("fib", core.LevelStack)
@@ -250,76 +252,38 @@ func TestPoolConfigFingerprint(t *testing.T) {
 
 	zeroDepth := cfg
 	zeroDepth.MaxDepth = 0 // normalizes to the default
-	defaulted := cfg
-	defaulted.MaxDepth = sim.DefaultConfig().MaxDepth
-	if cfg.MaxDepth == defaulted.MaxDepth && zeroDepth.Fingerprint() != defaulted.Fingerprint() {
-		t.Fatal("zero MaxDepth must fingerprint like the default")
+	if zeroDepth.Normalize() != cfg.Normalize() {
+		t.Fatal("test premise: zero MaxDepth must normalize like the default")
 	}
+	l2, err := p.Acquire(pp, sim.WithCache, zeroDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l2.R != r1 {
+		t.Fatal("a configuration that normalizes alike must unpark the same replayer")
+	}
+	l2.Release()
 
 	bigger := cfg
 	bigger.MaxInstructions = cfg.MaxInstructions + 1
-	l2, err := p.Acquire(pp, sim.WithCache, bigger)
+	l3, err := p.Acquire(pp, sim.WithCache, bigger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.R == r1 {
-		t.Fatal("different MaxInstructions must be a different pool class")
+	if l3.R == r1 {
+		t.Fatal("different MaxInstructions must be a different class")
+	}
+	if st := p.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats = %+v, want 1 hit, 2 misses", st)
 	}
 }
 
-// TestPoolInvalidate: invalidation drops idle replayers and discards
-// checked-out ones at release instead of repooling them.
-func TestPoolInvalidate(t *testing.T) {
-	cfg := testConfig()
-	a, err := core.BuildWorkload("loopsum", core.LevelStack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp, err := a.Predecoded(cfg.Degree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(4)
-	idle, err := p.Acquire(pp, sim.Expanded, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idle.Release()
-	leased, err := p.Acquire(pp, sim.Expanded, cfg) // the idle one, checked out
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra, err := p.Acquire(pp, sim.Expanded, cfg) // a second, also out
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	p.Invalidate(pp)
-	leased.Release()
-	extra.Release()
-	st := p.Stats()
-	if st.Idle != 0 {
-		t.Fatalf("Idle = %d, want 0 after invalidation", st.Idle)
-	}
-	if st.Discards != 2 {
-		t.Fatalf("Discards = %d, want both outstanding leases discarded", st.Discards)
-	}
-	// The dead-set must not leak: a fresh acquire/release repopulates.
-	l, err := p.Acquire(pp, sim.Expanded, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Release()
-	if st := p.Stats(); st.Idle != 1 {
-		t.Fatalf("Idle = %d, want 1 after re-pooling post-invalidation", st.Idle)
-	}
-}
-
-// TestPoolGlobalIdleBound: a client iterating distinct configurations (each
-// a distinct fingerprint, hence a distinct pool key) cannot grow the idle
-// set without limit — beyond 16×maxIdlePerKey total, the stalest idle entry
-// is evicted to make room, so saturation never stops hot keys from pooling.
-func TestPoolGlobalIdleBound(t *testing.T) {
+// TestPoolParkBound: a client iterating distinct configurations (each a
+// distinct class) cannot grow what one program keeps parked without limit.
+// Past workers × len(sim.Strategies()) the oldest parked replayer is dropped,
+// so a hot class still parks, and the program charges exactly the replayers
+// it keeps.
+func TestPoolParkBound(t *testing.T) {
 	cfg := testConfig()
 	a, err := core.BuildWorkload("fib", core.LevelStack)
 	if err != nil {
@@ -329,25 +293,52 @@ func TestPoolGlobalIdleBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPool(1) // global bound: 16
-	for i := 0; i < 40; i++ {
-		c := cfg
-		c.MaxInstructions = int64(1000 + i) // distinct fingerprint each time
-		l, err := p.Acquire(pp, sim.Conventional, c)
+	const runs = 40
+	p := NewPool(1)
+	bound := len(sim.Strategies())
+	before := pp.FootprintBytes()
+	classes := make([]sim.Config, runs)
+	charge := 0 // what one parked replayer adds to the footprint
+	for i := range classes {
+		classes[i] = cfg
+		classes[i].MaxInstructions = int64(1000 + i) // a distinct class each time
+		l, err := p.Acquire(pp, sim.Conventional, classes[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		l.Release()
+		if i == 0 {
+			charge = pp.FootprintBytes() - before
+		}
+	}
+	if charge <= 0 {
+		t.Fatalf("a parked replayer adds %d B to its program's footprint, want a positive charge", charge)
 	}
 	st := p.Stats()
-	if st.Idle > 16 {
-		t.Fatalf("Idle = %d, want at most the global bound of 16", st.Idle)
+	if st.Discards != runs-int64(bound) {
+		t.Fatalf("Discards = %d, want %d dropped beyond the bound of %d", st.Discards, runs-bound, bound)
 	}
-	if st.Discards != 40-16 {
-		t.Fatalf("Discards = %d, want %d evicted beyond the bound", st.Discards, 40-16)
+	if grew := pp.FootprintBytes() - before; grew != bound*charge {
+		t.Fatalf("footprint grew %d B, want the %d parked replayers' %d B", grew, bound, bound*charge)
 	}
-	// The saturated pool still pools fresh check-ins (evicting the stalest),
-	// so a hot key keeps hitting.
+	// The newest classes are parked, the oldest were dropped.
+	newest, err := p.Acquire(pp, sim.Conventional, classes[runs-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest.Release()
+	if st := p.Stats(); st.Hits != 1 {
+		t.Fatalf("the newest class was not parked: %+v", st)
+	}
+	oldest, err := p.Acquire(pp, sim.Conventional, classes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldest.Release()
+	if st := p.Stats(); st.Hits != 1 {
+		t.Fatalf("the oldest class is still parked past the bound: %+v", st)
+	}
+	// A hot class still parks on the full program.
 	hot, err := p.Acquire(pp, sim.Conventional, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -359,13 +350,18 @@ func TestPoolGlobalIdleBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if again.R != r {
-		t.Fatal("hot key not pooled after the global bound was reached")
+		t.Fatal("hot class not parked once the program reached its bound")
+	}
+	again.Release()
+	if grew := pp.FootprintBytes() - before; grew != bound*charge {
+		t.Fatalf("footprint grew %d B, want %d B: still the bound's worth parked", grew, bound*charge)
 	}
 }
 
 // TestWarmedRequestNoRebuild is the acceptance pin: a repeated request does
 // zero artifact rebuild work (registry Builds constant, Hits rising) and
-// replays on a pooled simulator (pool Hits rising), with identical output.
+// replays on the simulator parked on its program (pool Hits rising), with
+// identical output.
 func TestWarmedRequestNoRebuild(t *testing.T) {
 	svc := New(Options{})
 	ctx := context.Background()
@@ -392,7 +388,7 @@ func TestWarmedRequestNoRebuild(t *testing.T) {
 		t.Fatalf("warm request missed the registry: %+v", st.Registry)
 	}
 	if st.Pool.Hits != 1 {
-		t.Fatalf("warm request did not reuse the pooled replayer: %+v", st.Pool)
+		t.Fatalf("warm request did not reuse the parked replayer: %+v", st.Pool)
 	}
 	if !slices.Equal(first.Output, second.Output) {
 		t.Fatalf("outputs differ: %v vs %v", first.Output, second.Output)
@@ -563,76 +559,162 @@ func TestServiceEngineThroughRegistry(t *testing.T) {
 	}
 }
 
-// TestStaleArtifactCheckinDiscards: a request running on an artifact
-// reference obtained *before* its eviction must not repool its replayer —
-// the pool key is retired (a rebuilt artifact is a fresh program instance),
-// so a repooled replayer would be unreachable and leak for the process
-// lifetime.  Pool.Invalidate cannot see this case (no lease was outstanding
-// at invalidation time); the service's liveness check at check-in is the
-// backstop.
-func TestStaleArtifactCheckinDiscards(t *testing.T) {
+// TestEvictionFreesParkedReplayers closes the ownership chain for parked
+// replayers: only the registry and in-flight requests hold a program, so
+// evicting an artifact makes its predecoded program unreachable, with every
+// replayer parked on it — including one a request parked after the eviction
+// through an artifact reference taken before it.
+func TestEvictionFreesParkedReplayers(t *testing.T) {
 	svc := New(Options{CapacityBytes: 1})
 	ctx := context.Background()
 	cfg := testConfig()
 
-	stale, err := svc.Resolve(workloadReq("loopsum", testConfig()))
+	// A warm run parks a replayer on loopsum's program.
+	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.WithDTB); err != nil {
+		t.Fatal(err)
+	}
+	stale, err := svc.Resolve(workloadReq("loopsum", cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A different program over the 1-byte budget evicts loopsum while no
-	// lease on it exists.
+	pp, err := stale.Predecoded(cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := weak.Make(pp)
+	pp = nil
+
+	// A different program over the 1-byte budget evicts loopsum.
 	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
 	if svc.Registry().Live(stale) {
-		t.Fatal("test premise: the first artifact should have been evicted")
+		t.Fatal("test premise: loopsum should have been evicted")
 	}
-	idleBefore := svc.Stats().Pool.Idle
-
-	// Running on the stale reference still works (correctness must not
-	// depend on cache residency) ...
-	rep, err := svc.runPooled(stale, sim.WithDTB, cfg)
+	// A request still running on the stale reference works (correctness does
+	// not depend on residency) and parks its replayer on the evicted program.
+	rep, err := svc.runPooled(stale, sim.Conventional, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Output) == 0 {
 		t.Fatal("stale-artifact run produced no output")
 	}
-	// ... but its replayer is discarded at check-in, not parked under a
-	// retired key.
-	st := svc.Stats().Pool
-	if st.Idle != idleBefore {
-		t.Fatalf("Idle grew %d -> %d: replayer repooled under an evicted program", idleBefore, st.Idle)
+	if st := svc.Stats().Pool; st.Leased != 0 || st.Discards != 0 {
+		t.Fatalf("pool = %+v, want the stale run's replayer parked", st)
 	}
-	if st.Discards == 0 {
-		t.Fatalf("want the stale replayer discarded: %+v", st)
+	stale = nil
+	runtime.GC()
+	runtime.GC()
+	if program.Value() != nil {
+		t.Fatal("the evicted program is still reachable with its parked replayers")
 	}
 }
 
-// TestServiceEvictionRetiresPooledReplayers wires the whole ownership chain:
-// evicting an artifact invalidates the pool entries warmed on its predecoded
-// programs.
-func TestServiceEvictionRetiresPooledReplayers(t *testing.T) {
-	svc := New(Options{CapacityBytes: 1})
-	ctx := context.Background()
+// TestFailedRunChargesItsReplayer: a run that fails, here over its
+// instruction bound, still parks its replayer on the program, and the
+// registry charges it.  Otherwise every class a client sweeps through
+// max_instructions would park a replayer the byte budget cannot see.
+func TestFailedRunChargesItsReplayer(t *testing.T) {
+	svc := New(Options{})
 	cfg := testConfig()
-	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.WithDTB); err != nil {
+	cfg.MaxInstructions = 10 // far short of loopsum's run
+	if _, err := svc.Run(context.Background(), workloadReq("loopsum", cfg), sim.WithCache); err == nil {
+		t.Fatal("a run over its instruction bound succeeded")
+	}
+	art, err := svc.Resolve(workloadReq("loopsum", cfg))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Stats(); st.Pool.Idle != 1 {
-		t.Fatalf("Idle = %d, want the warmed replayer pooled", st.Pool.Idle)
+	if st := svc.Stats().Pool; st.Misses != 1 || st.Leased != 0 || st.Discards != 0 {
+		t.Fatalf("pool = %+v, want the failed run's replayer parked", st)
 	}
-	// A different program over the 1-byte budget evicts loopsum, which must
-	// drop its pooled replayer.
-	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
-		t.Fatal(err)
+	if got, want := svc.Registry().Stats().Bytes, int64(art.FootprintBytes()); got != want {
+		t.Fatalf("registry charges %d B, the artifact holds %d B", got, want)
 	}
-	st := svc.Stats()
-	if st.Registry.Evictions == 0 {
-		t.Fatalf("want an eviction: %+v", st.Registry)
+}
+
+// TestParkedReplayersUnderConcurrency: goroutines acquire, derive, and then
+// release or discard, across every strategy and three configurations on
+// shared programs.  Every report equals a full simulation, no lease is left
+// out, and no program keeps more than the bound parked.
+func TestParkedReplayersUnderConcurrency(t *testing.T) {
+	const workers, goroutines, rounds = 2, 8, 30
+	base := testConfig()
+	cfgs := []sim.Config{base, base, base}
+	cfgs[1].MaxInstructions = 4_000_000
+	cfgs[2].MaxDepth = 5_000
+	var pps []*sim.PredecodedProgram
+	want := map[*sim.PredecodedProgram]map[sim.Strategy][]*sim.Report{}
+	for _, name := range []string{"loopsum", "fib", "sieve"} {
+		a, err := core.BuildWorkload(name, core.LevelStack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := a.Predecoded(base.Degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pps = append(pps, pp)
+		want[pp] = map[sim.Strategy][]*sim.Report{}
+		for _, strategy := range sim.Strategies() {
+			for _, cfg := range cfgs {
+				rep, err := core.RunSimulated(a, strategy, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[pp][strategy] = append(want[pp][strategy], rep)
+			}
+		}
 	}
-	if st.Pool.Invalidated == 0 {
-		t.Fatalf("eviction did not retire pooled replayers: %+v", st.Pool)
+
+	p := NewPool(workers)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				pp := pps[(g+i)%len(pps)]
+				strategy := sim.Strategies()[(g*7+i)%len(sim.Strategies())]
+				c := (g + 2*i) % len(cfgs)
+				lease, err := p.Acquire(pp, strategy, cfgs[c])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				rep, err := lease.R.ReplayDerived()
+				if err != nil {
+					t.Error(err)
+				} else if diff := sim.DiffReports(rep, want[pp][strategy][c]); diff != "" {
+					t.Errorf("%v under config %d: report differs from the simulation: %s", strategy, c, diff)
+				}
+				if i%5 == 4 {
+					lease.Discard()
+				} else {
+					lease.Release()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	if st := p.Stats(); st.Leased != 0 {
+		t.Fatalf("Leased = %d after every goroutine returned, want 0", st.Leased)
+	}
+	bound := workers * len(sim.Strategies())
+	for _, pp := range pps {
+		parked := 0
+		for _, strategy := range sim.Strategies() {
+			for _, cfg := range cfgs {
+				for pp.Unpark(strategy, cfg) != nil {
+					parked++
+				}
+			}
+		}
+		if parked > bound {
+			t.Errorf("a program keeps %d replayers parked, above the bound of %d", parked, bound)
+		}
 	}
 }
 

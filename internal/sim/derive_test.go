@@ -383,7 +383,7 @@ func TestUncompilableProgramIsSimulated(t *testing.T) {
 // BenchmarkReplaySteadyState this is the per-strategy speedup the trace buys
 // — no semantics re-run, just the DTB/cache state machines and the per-pc
 // cost tables.  Each iteration clears the held report so that it streams;
-// the held sub-benchmark prices what a warm pooled Replayer pays instead.
+// the held sub-benchmark prices what a warm parked Replayer pays instead.
 func BenchmarkDeriveReport(b *testing.B) {
 	dp := workload.MustCompileAt("loopsum", compile.LevelStack)
 	cfg := DefaultConfig()

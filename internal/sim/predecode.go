@@ -10,6 +10,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -150,8 +151,10 @@ func (b *Binding) RecordTrace() (*trace.Trace, error) {
 // PredecodedProgram is a DIR program encoded at one degree and decoded exactly
 // once.  It holds only what the degree changes — the binary, its decode costs
 // and its fetch geometry — and shares its Binding with every other degree.
-// It is immutable: the same instance can back any number of concurrent Run
-// calls under any strategy.
+// Those forms are immutable: the same instance can back any number of
+// concurrent Run calls under any strategy.  The one thing that changes is the
+// set of Replayers parked on it between runs (Park, Unpark), which it charges
+// in FootprintBytes and which live exactly as long as it does.
 type PredecodedProgram struct {
 	*Binding
 	// Binary is the encoded static representation the costs were measured on.
@@ -164,6 +167,13 @@ type PredecodedProgram struct {
 	// Cost derivations stream these instead of re-walking the bit ranges.
 	fetchFirst []int32
 	fetchWords []int32
+
+	// mu guards parked, the Replayers parked on the program, oldest first.
+	// slices.Delete clears the slots it vacates, so the backing array keeps
+	// no dropped or checked-out Replayer reachable.
+	mu          sync.Mutex
+	parked      []*Replayer
+	parkedBytes atomic.Int64 // sum of the parked Replayers' bytes
 }
 
 // Predecode binds the program, encodes it at the given degree and predecodes
@@ -224,9 +234,42 @@ func (b *Binding) PredecodeBinary(bin *dir.Binary) (*PredecodedProgram, error) {
 
 // FootprintBytes estimates the resident size of what this degree adds to its
 // shared binding: the encoded binary, the recorded decode costs (two machine
-// ints per pc) and the fetch-geometry tables (two int32 per pc).
+// ints per pc), the fetch-geometry tables (two int32 per pc) and the
+// Replayers parked on it.
 func (pp *PredecodedProgram) FootprintBytes() int {
-	return pp.Binary.SizeBytes() + len(pp.costs)*(16+8)
+	return pp.Binary.SizeBytes() + len(pp.costs)*(16+8) + int(pp.parkedBytes.Load())
+}
+
+// Unpark removes and returns the most recently parked Replayer of the class
+// (strategy, cfg.Normalize()), or nil when none is parked.  Configurations
+// that select identical behaviour are one class.
+func (pp *PredecodedProgram) Unpark(strategy Strategy, cfg Config) *Replayer {
+	cfg = cfg.Normalize()
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	for i := len(pp.parked) - 1; i >= 0; i-- {
+		if r := pp.parked[i]; r.strategy == strategy && r.cfg == cfg {
+			pp.parkedBytes.Add(-int64(r.bytes))
+			pp.parked = slices.Delete(pp.parked, i, i+1)
+			return r
+		}
+	}
+	return nil
+}
+
+// Park keeps r, a Replayer of this program, for a later Unpark.  At most max
+// stay parked: past that the oldest is dropped, and Park reports it.
+func (pp *PredecodedProgram) Park(r *Replayer, max int) (dropped bool) {
+	pp.mu.Lock()
+	defer pp.mu.Unlock()
+	pp.parked = append(pp.parked, r)
+	pp.parkedBytes.Add(int64(r.bytes))
+	if len(pp.parked) <= max {
+		return false
+	}
+	pp.parkedBytes.Add(-int64(pp.parked[0].bytes))
+	pp.parked = slices.Delete(pp.parked, 0, 1)
+	return true
 }
 
 // Degree returns the encoding degree of the predecoded binary.

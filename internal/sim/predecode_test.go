@@ -121,3 +121,54 @@ func TestBindingRejectsBinaryOfOtherProgram(t *testing.T) {
 		t.Fatal("predecoding another program's binary succeeded")
 	}
 }
+
+// TestParkClearsVacatedSlots: a program keeps at most max replayers parked and
+// drops the oldest past that; Unpark finds the newest of a class, matching
+// configurations through Normalize; the footprint charges exactly what is
+// parked; and every slot parking vacates is cleared, so the slice's backing
+// array keeps no dropped or checked-out replayer reachable.
+func TestParkClearsVacatedSlots(t *testing.T) {
+	cfg := DefaultConfig()
+	pp, err := Predecode(workload.MustCompileAt("fib", compile.LevelStack), cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := make([]*Replayer, 3)
+	for i := range rs {
+		if rs[i], err = NewReplayer(pp, Conventional, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := pp.FootprintBytes()
+	if pp.Park(rs[0], 2) || pp.Park(rs[1], 2) {
+		t.Fatal("a replayer was dropped under the bound")
+	}
+	if !pp.Park(rs[2], 2) {
+		t.Fatal("no replayer was dropped past the bound")
+	}
+	if got := pp.FootprintBytes() - base; got != 2*rs[0].bytes {
+		t.Fatalf("parking grew the footprint by %d B, want two replayers' %d B", got, 2*rs[0].bytes)
+	}
+	zeroDepth := cfg
+	zeroDepth.MaxDepth = 0
+	if got := pp.Unpark(Conventional, zeroDepth); got != rs[2] {
+		t.Fatal("Unpark did not return the newest replayer of the class")
+	}
+	if got := pp.Unpark(WithDTB, cfg); got != nil {
+		t.Fatal("Unpark returned a replayer of another strategy")
+	}
+	if got := pp.Unpark(Conventional, cfg); got != rs[1] {
+		t.Fatal("Unpark did not return the remaining replayer")
+	}
+	if got := pp.Unpark(Conventional, cfg); got != nil {
+		t.Fatal("the oldest replayer was not dropped at the bound")
+	}
+	if got := pp.FootprintBytes(); got != base {
+		t.Fatalf("footprint %d B with nothing parked, want %d B", got, base)
+	}
+	for i, r := range pp.parked[:cap(pp.parked)] {
+		if r != nil {
+			t.Fatalf("slot %d of the parked slice's backing array still holds a replayer", i)
+		}
+	}
+}

@@ -82,13 +82,31 @@ func TestReplayAllocatesOnlyAtSetup(t *testing.T) {
 	}
 }
 
+// newReplayerBytes returns the heap NewReplayer allocates per call, averaged
+// over eight replayers.
+func newReplayerBytes(t *testing.T, pp *PredecodedProgram, strategy Strategy, cfg Config) int {
+	t.Helper()
+	const replayers = 8
+	rs := make([]*Replayer, replayers)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range rs {
+		var err error
+		if rs[i], err = NewReplayer(pp, strategy, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(rs)
+	return int(after.TotalAlloc-before.TotalAlloc) / replayers
+}
+
 // TestNewReplayerFootprint bounds what building a Replayer allocates.  The
 // memory hierarchy, DTB and cache model capacity and references, not
 // contents, so a replayer of sieve stays a few KiB under every organisation
 // although the default hierarchy has 8 MiB of level 2.  The figure is the
 // heap allocated per NewReplayer, averaged over eight.
 func TestNewReplayerFootprint(t *testing.T) {
-	const replayers = 8
 	const bound = 64 << 10
 	cfg := DefaultConfig()
 	pp, err := Predecode(workload.MustCompileAt("sieve", compile.LevelStack), cfg.Degree)
@@ -100,18 +118,38 @@ func TestNewReplayerFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, strategy := range Strategies() {
-		rs := make([]*Replayer, replayers)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := range rs {
-			if rs[i], err = NewReplayer(pp, strategy, cfg); err != nil {
+		if per := newReplayerBytes(t, pp, strategy, cfg); per >= bound {
+			t.Errorf("%v: NewReplayer allocates %d B, want under %d B", strategy, per, bound)
+		}
+	}
+}
+
+// TestReplayerChargeMatchesAllocation pins the charge a parked Replayer adds
+// to its program's footprint to what NewReplayer allocates, measured as
+// TestNewReplayerFootprint measures it: within ±25% for every organisation
+// on three workloads whose main frames differ (sieve's holds 131 slots).
+func TestReplayerChargeMatchesAllocation(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, wl := range []string{"sieve", "fib", "loopsum"} {
+		pp, err := Predecode(workload.MustCompileAt(wl, compile.LevelStack), cfg.Degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pp.Compiled(); err != nil {
+			t.Fatal(err)
+		}
+		for _, strategy := range Strategies() {
+			measured := newReplayerBytes(t, pp, strategy, cfg)
+			r, err := NewReplayer(pp, strategy, cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(rs)
-		if per := (after.TotalAlloc - before.TotalAlloc) / replayers; per >= bound {
-			t.Errorf("%v: NewReplayer allocates %d B, want under %d B", strategy, per, bound)
+			charge := r.bytes
+			t.Logf("%s/%v: charged %d B, NewReplayer allocates %d B", wl, strategy, charge, measured)
+			if charge*4 < measured*3 || charge*4 > measured*5 {
+				t.Errorf("%s/%v: charged %d B, NewReplayer allocates %d B: want within 25%%",
+					wl, strategy, charge, measured)
+			}
 		}
 	}
 }

@@ -101,19 +101,6 @@ func (c Config) Normalize() Config {
 	return c
 }
 
-// Fingerprint is a cheap comparable identity for a Config: two configurations
-// with the same fingerprint select byte-identical simulation behaviour.  It
-// is valid as a map key, which is exactly how the service layer's replayer
-// pool uses it.
-type Fingerprint struct {
-	cfg Config
-}
-
-// Fingerprint returns the configuration's identity.  Every Config field is a
-// flat value type, so the fingerprint is a plain struct comparison — no
-// hashing, no allocation.
-func (c Config) Fingerprint() Fingerprint { return Fingerprint{cfg: c.Normalize()} }
-
 // Measured are the §7 model parameters as actually observed during the run.
 type Measured struct {
 	D  float64 // average decode steps per decoded instruction
@@ -224,7 +211,8 @@ func RunPredecoded(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Repor
 // the same configuration (repeated rounds, measurement loops) use a Replayer;
 // one-shot callers use RunPredecoded, which is a NewReplayer + Replay pair.
 // Derive streams the shared trace once and holds the read-only report until
-// the next Replay, so a pooled Replayer answers repeats without re-binding.
+// the next Replay, so a Replayer parked on its program between requests
+// (PredecodedProgram.Park) answers repeats without re-binding.
 //
 // A Replayer is not safe for concurrent use; concurrent runs should each
 // construct their own (the predecoded program itself is safely shared).
@@ -247,7 +235,25 @@ type Replayer struct {
 	base    Report // setup-time report fields, copied into report by Replay
 	report  Report
 	derived bool // report holds a derivation, which Derive returns until the next Replay
+
+	// bytes estimates the heap NewReplayer built (see replayerFixedBytes),
+	// which a parked Replayer is charged in its program's footprint.
+	bytes int
 }
+
+// Heap estimates of what NewReplayer allocates, from allocation measurements
+// under DefaultConfig on the built-in workloads: every organisation builds
+// the Replayer and its two reports, the memory hierarchy with its level map
+// and segments, and the run-time state, whose main frame adds a machine word
+// per slot; a DTB entry holds validity, tag, overflow blocks, length and
+// recency, a cache directory line validity, tag and recency, and each of
+// their sets adds a slice header.
+const (
+	replayerFixedBytes = 1600
+	dtbEntryBytes      = 40
+	cacheLineBytes     = 24
+	setHeaderBytes     = 24
+)
 
 // NewReplayer validates the configuration and builds every structure the
 // replay loop needs.
@@ -263,6 +269,7 @@ func NewReplayer(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Replaye
 	r := &Replayer{cfg: cfg, strategy: strategy, pp: pp}
 
 	p, bin := pp.Program, pp.Binary
+	r.bytes = replayerFixedBytes + 8*p.Procs[0].FrameSlots
 	hier, err := memory.New(cfg.Memory)
 	if err != nil {
 		return nil, err
@@ -309,6 +316,7 @@ func NewReplayer(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Replaye
 		if _, err := hier.Allocate(memory.Level1, "dtb-buffer", cfg.DTB.CapacityBytes()); err != nil {
 			return nil, err
 		}
+		r.bytes += cfg.DTB.Entries*dtbEntryBytes + cfg.DTB.Entries/cfg.DTB.Assoc*setHeaderBytes
 	case WithCache:
 		r.icache, err = cache.New(cfg.Cache)
 		if err != nil {
@@ -317,6 +325,8 @@ func NewReplayer(pp *PredecodedProgram, strategy Strategy, cfg Config) (*Replaye
 		if _, err := hier.Allocate(memory.Level1, "cache-data", cfg.Cache.CapacityBytes); err != nil {
 			return nil, err
 		}
+		lines := cfg.Cache.CapacityBytes / cfg.Cache.LineBytes
+		r.bytes += lines*cacheLineBytes + lines/cfg.Cache.Assoc*setHeaderBytes
 	case Expanded:
 		r.base.ExpandedWords = pp.ExpandedWords()
 	case Compiled:
