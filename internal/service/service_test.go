@@ -278,6 +278,68 @@ func TestPoolConfigFingerprint(t *testing.T) {
 	}
 }
 
+// TestPoolInvalidate: the pool keeps nothing of a program, so dropping the
+// program invalidates every replayer of it, parked or still checked out
+// when it was dropped, while the pool lives on.  A new program of the same
+// source starts empty and parks again.
+func TestPoolInvalidate(t *testing.T) {
+	cfg := testConfig()
+	build := func() *sim.PredecodedProgram {
+		a, err := core.BuildWorkload("loopsum", core.LevelStack)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := a.Predecoded(cfg.Degree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pp
+	}
+	p := NewPool(4)
+	pp := build()
+	idle, err := p.Acquire(pp, sim.Expanded, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.Release()
+	leased, err := p.Acquire(pp, sim.Expanded, cfg) // the parked one, checked out
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra, err := p.Acquire(pp, sim.Expanded, cfg) // a second, also out
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := weak.Make(pp)
+	pp = nil
+	leased.Release()
+	extra.Release()
+	if st := p.Stats(); st.Leased != 0 || st.Discards != 0 {
+		t.Fatalf("stats = %+v, want both outstanding leases parked on their program", st)
+	}
+	idle, leased, extra = nil, nil, nil
+	runtime.GC()
+	runtime.GC()
+	if program.Value() != nil {
+		t.Fatal("the pool keeps a dropped program reachable")
+	}
+
+	pp = build()
+	l, err := p.Acquire(pp, sim.Expanded, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Release()
+	l, err = p.Acquire(pp, sim.Expanded, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Release()
+	if st := p.Stats(); st.Hits != 2 || st.Misses != 3 {
+		t.Fatalf("stats = %+v, want the new program to miss once and then park", st)
+	}
+}
+
 // TestPoolParkBound: a client iterating distinct configurations (each a
 // distinct class) cannot grow what one program keeps parked without limit.
 // Past workers × len(sim.Strategies()) the oldest parked replayer is dropped,
@@ -559,12 +621,12 @@ func TestServiceEngineThroughRegistry(t *testing.T) {
 	}
 }
 
-// TestEvictionFreesParkedReplayers closes the ownership chain for parked
-// replayers: only the registry and in-flight requests hold a program, so
-// evicting an artifact makes its predecoded program unreachable, with every
-// replayer parked on it — including one a request parked after the eviction
-// through an artifact reference taken before it.
-func TestEvictionFreesParkedReplayers(t *testing.T) {
+// TestServiceEvictionRetiresPooledReplayers closes the ownership chain for
+// parked replayers: only the registry and in-flight requests hold a
+// program, so evicting an artifact makes its predecoded program
+// unreachable with every replayer parked on it, and a request for the
+// rebuilt program constructs a new replayer.
+func TestServiceEvictionRetiresPooledReplayers(t *testing.T) {
 	svc := New(Options{CapacityBytes: 1})
 	ctx := context.Background()
 	cfg := testConfig()
@@ -573,9 +635,73 @@ func TestEvictionFreesParkedReplayers(t *testing.T) {
 	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
+	if st := svc.Stats().Pool; st.Misses != 1 || st.Leased != 0 || st.Discards != 0 {
+		t.Fatalf("pool = %+v, want the warmed replayer parked", st)
+	}
+	art, err := svc.Resolve(workloadReq("loopsum", cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pp, err := art.Predecoded(cfg.Degree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	program := weak.Make(pp)
+	pp, art = nil, nil
+
+	// A different program over the 1-byte budget evicts loopsum, and its
+	// parked replayer goes with it.
+	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.Registry.Evictions == 0 {
+		t.Fatalf("want an eviction: %+v", st.Registry)
+	}
+	runtime.GC()
+	runtime.GC()
+	if program.Value() != nil {
+		t.Fatal("the evicted program is still reachable with its parked replayer")
+	}
+	// The rebuilt program starts with nothing parked.
+	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.WithDTB); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats().Pool; st.Hits != 0 || st.Misses != 3 {
+		t.Fatalf("pool = %+v, want the rebuilt loopsum to miss", st)
+	}
+}
+
+// TestStaleArtifactCheckinDiscards: a request still running on an artifact
+// reference taken before its eviction works (correctness does not depend on
+// residency), and the replayer it checks in is discarded with the evicted
+// program: it parks there, where no request for the rebuilt program finds
+// it, and is garbage once the stale reference drops.
+func TestStaleArtifactCheckinDiscards(t *testing.T) {
+	svc := New(Options{CapacityBytes: 1})
+	ctx := context.Background()
+	cfg := testConfig()
+
 	stale, err := svc.Resolve(workloadReq("loopsum", cfg))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A different program over the 1-byte budget evicts loopsum while no
+	// lease on it exists.
+	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Registry().Live(stale) {
+		t.Fatal("test premise: loopsum should have been evicted")
+	}
+	rep, err := svc.runPooled(stale, sim.WithDTB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Output) == 0 {
+		t.Fatal("stale-artifact run produced no output")
+	}
+	if st := svc.Stats().Pool; st.Leased != 0 || st.Discards != 0 {
+		t.Fatalf("pool = %+v, want the stale run's replayer parked on its program", st)
 	}
 	pp, err := stale.Predecoded(cfg.Degree)
 	if err != nil {
@@ -584,30 +710,18 @@ func TestEvictionFreesParkedReplayers(t *testing.T) {
 	program := weak.Make(pp)
 	pp = nil
 
-	// A different program over the 1-byte budget evicts loopsum.
-	if _, err := svc.Run(ctx, workloadReq("fib", cfg), sim.WithDTB); err != nil {
+	// The resident loopsum is a rebuild, and the stale replayer never serves it.
+	if _, err := svc.Run(ctx, workloadReq("loopsum", cfg), sim.WithDTB); err != nil {
 		t.Fatal(err)
 	}
-	if svc.Registry().Live(stale) {
-		t.Fatal("test premise: loopsum should have been evicted")
-	}
-	// A request still running on the stale reference works (correctness does
-	// not depend on residency) and parks its replayer on the evicted program.
-	rep, err := svc.runPooled(stale, sim.Conventional, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Output) == 0 {
-		t.Fatal("stale-artifact run produced no output")
-	}
-	if st := svc.Stats().Pool; st.Leased != 0 || st.Discards != 0 {
-		t.Fatalf("pool = %+v, want the stale run's replayer parked", st)
+	if st := svc.Stats(); st.Registry.Builds != 3 || st.Pool.Hits != 0 {
+		t.Fatalf("stats = %+v, want loopsum rebuilt and its stale replayer unused", st)
 	}
 	stale = nil
 	runtime.GC()
 	runtime.GC()
 	if program.Value() != nil {
-		t.Fatal("the evicted program is still reachable with its parked replayers")
+		t.Fatal("the evicted program is still reachable with the replayer parked on it")
 	}
 }
 
